@@ -251,9 +251,8 @@ def test_perf_mds_cluster_lookup_throughput(benchmark):
     """Sharded metadata lookup path: 32 clients x 100 consults against a
     4-shard finger-routed cluster (ring walk + per-shard service queues).
 
-    Guards the consult hot loop the mds-bench command sweeps. The shards=1
-    parity contract keeps the default single-MDS path byte-identical to
-    the pre-cluster code, so only sharded runs pay what this measures.
+    Guards the consult hot loop the mds-bench command sweeps; every run's
+    metadata lookups go through this loop (one shard by default).
     """
     from repro.pfs.mds_cluster import MetadataCluster
 
@@ -284,7 +283,7 @@ def _metadata_storm(n_ops, shards, cache, force_general=False):
     from repro.workloads.metadata import MetadataConfig, MetadataWorkload
 
     sim = Simulator()
-    mds = MetadataCluster(shards, routing="finger", seed=0) if shards else None
+    mds = MetadataCluster(shards, routing="finger", seed=0)
     pfs = HybridPFS.build(sim, 2, 1, seed=0, mds=mds, mds_cache=cache)
     handle = pfs.create_file("f", FixedLayout(2, 1, 64 * KiB))
     workload = MetadataWorkload(MetadataConfig(n_ops=n_ops, n_processes=16))

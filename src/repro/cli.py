@@ -9,7 +9,8 @@ Commands:
   corruption and ``mds-crash:`` metadata-shard crashes) with client
   retry/failover; ``--replicas N`` mirrors every region N ways so
   corrupted reads self-heal; ``--mds-shards N`` shards the metadata
-  namespace across a consistent-hash ring of N journaled servers;
+  namespace across a consistent-hash ring of N journaled servers
+  (default 1);
   ``--mds-cache`` turns on the client-side layout cache and
   ``--mds-profile`` selects calibrated MDS service-time costs;
   ``--rebuild`` re-replicates crashed servers' regions onto survivors
@@ -18,7 +19,7 @@ Commands:
 - ``chaos`` — sweep stochastic fault rates, comparing HARL against a
   fixed-stripe baseline under identical fault schedules;
   ``--corrupt-rate`` folds silent data corruption into the sweep;
-  ``--mds-crash-rate`` (with ``--mds-shards``) folds metadata-shard
+  ``--mds-crash-rate`` (with ``--mds-shards`` >= 2) folds metadata-shard
   crashes in and gates on zero lost namespace entries; ``--replicas``
   with ``--rebuild`` re-replicates after crashes (``--restore-after``
   rejoins crashed servers) and gates the sweep on zero data loss;
@@ -95,10 +96,10 @@ def _add_mds_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mds-shards",
         type=int,
-        default=0,
+        default=1,
         metavar="N",
-        help="shard the metadata namespace across N journaled servers on a "
-        "consistent-hash ring (default 0 = single legacy MDS)",
+        help="shard the metadata namespace across N >= 1 journaled servers "
+        "on a consistent-hash ring (default 1)",
     )
     parser.add_argument(
         "--mds-routing",
@@ -134,13 +135,13 @@ def _add_mds_args(parser: argparse.ArgumentParser) -> None:
 def _mds_testbed_kwargs(args: argparse.Namespace) -> dict:
     """Validated ``Testbed`` metadata kwargs from ``--mds-*`` flags.
 
-    Raises ``ValueError`` with a user-facing message for a negative shard
-    count or an unparseable recovery delay — commands turn that into a
+    Raises ``ValueError`` with a user-facing message for a shard count
+    below 1 or an unparseable recovery delay — commands turn that into a
     clean exit-2 error instead of a mid-run traceback.
     """
-    shards = getattr(args, "mds_shards", 0)
-    if shards < 0:
-        raise ValueError(f"--mds-shards must be >= 0, got {shards}")
+    shards = getattr(args, "mds_shards", 1)
+    if shards < 1:
+        raise ValueError(f"--mds-shards must be >= 1, got {shards}")
     raw = getattr(args, "mds_recovery_delay", "2e-3")
     if isinstance(raw, str) and raw.strip().lower() in ("none", "off"):
         delay: float | None = None
@@ -323,7 +324,8 @@ def _integrity_line(stats) -> str:
 
 def _mds_stats_line(stats) -> str:
     line = (
-        f"mds: {stats.n_shards} shards ({stats.routing}), {stats.lookups} lookups, "
+        f"mds: {stats.n_shards} shard{'s' if stats.n_shards != 1 else ''} "
+        f"({stats.routing}), {stats.lookups} lookups, "
         f"mean {stats.mean_hops:.2f} hops (max {stats.hops_max})"
     )
     if stats.crashes or stats.retries or stats.unavailable:
@@ -334,6 +336,26 @@ def _mds_stats_line(stats) -> str:
             f"{stats.retries} retries, {stats.lost_entries} lost"
         )
     return line
+
+
+def _mds_failure_cause(stats, recovery_delay: float | None) -> str:
+    """Why a run's metadata lookups ran out of retries (``MdsStats``)."""
+    if recovery_delay is None:
+        return "recovery is off (--mds-recovery-delay none), so the crashed arc stayed down"
+    if stats.crashes >= stats.n_shards:
+        crashed = (
+            "the only metadata shard"
+            if stats.n_shards == 1
+            else f"all {stats.n_shards} metadata shards"
+        )
+        return (
+            f"{crashed} crashed, so no live shard was left to replay the journal "
+            "(run with more --mds-shards than mds-crash faults)"
+        )
+    return (
+        f"lookups exhausted their retries before the journal replay at "
+        f"+{recovery_delay:g}s (lower --mds-recovery-delay)"
+    )
 
 
 def _durability_line(stats) -> str:
@@ -367,11 +389,6 @@ def cmd_run_ior(args: argparse.Namespace) -> int:
         workload = _ior_workload(args)
         layout, label, is_harl = _resolve_layout(args, testbed, workload)
         faults = parse_faults(args.faults) if args.faults else None
-        if faults is not None and faults.mds_crashes() and testbed.mds_shards < 1:
-            raise FaultSpecError(
-                "mds-crash faults require a sharded metadata cluster "
-                "(run with --mds-shards >= 1)"
-            )
         if args.rebuild and args.replicas < 2:
             raise FaultSpecError(
                 "--rebuild needs a surviving copy to rebuild from "
@@ -418,7 +435,8 @@ def cmd_run_ior(args: argparse.Namespace) -> int:
         # A corrupted read with no replica to heal from surfaces as a typed
         # error, never as silently wrong data.
         print(f"error: unrepairable data corruption: {exc}", file=sys.stderr)
-        print("hint: rerun with --replicas 2 to enable read-path repair", file=sys.stderr)
+        if args.replicas < 2:
+            print("hint: rerun with --replicas 2 to enable read-path repair", file=sys.stderr)
         return 1
     config = workload.config
     print(
@@ -435,8 +453,7 @@ def cmd_run_ior(args: argparse.Namespace) -> int:
         print(f"  {_durability_line(result.durability)}")
     if result.durability is not None and args.write_quorum is not None:
         print(f"  {_quorum_line(result.durability)}")
-    if result.mds is not None:
-        print(f"  {_mds_stats_line(result.mds)}")
+    print(f"  {_mds_stats_line(result.mds)}")
     if is_harl:
         rst = getattr(layout, "rst", layout)  # --replicas wraps the RST
         plan = ", ".join(entry.config.describe() for entry in rst.entries)
@@ -445,10 +462,10 @@ def cmd_run_ior(args: argparse.Namespace) -> int:
         write_chrome_trace(trace_out, result.obs)
         print(f"\nChrome trace ({result.obs.n_spans} spans) written to {trace_out}")
         print(straggler_summary(result.obs))
-    if result.mds is not None and result.mds.failed:
+    if result.mds.failed:
         print(
-            "error: metadata shard unavailable after retries; run aborted "
-            "in degraded mode (enable recovery with --mds-recovery-delay)",
+            "error: metadata shard unavailable after retries; run aborted in "
+            f"degraded mode: {_mds_failure_cause(result.mds, testbed.mds_recovery_delay)}",
             file=sys.stderr,
         )
         return 1
@@ -482,8 +499,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             raise FaultSpecError("--corrupt-rate must be >= 0")
         if args.mds_crash_rate < 0:
             raise FaultSpecError("--mds-crash-rate must be >= 0")
-        if args.mds_crash_rate > 0 and testbed.mds_shards < 1:
-            raise FaultSpecError("--mds-crash-rate requires --mds-shards >= 1")
+        if args.mds_crash_rate > 0 and testbed.mds_shards < 2:
+            # Random crashes always leave one shard standing to replay the
+            # journal, so one shard would silently draw none.
+            raise FaultSpecError("--mds-crash-rate needs --mds-shards >= 2")
         if args.replicas < 1:
             raise FaultSpecError(f"--replicas must be >= 1, got {args.replicas}")
         if args.rebuild and args.replicas < 2:
@@ -537,7 +556,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             blip_rate=rate * 0.5,
             corrupt_rate=rate * args.corrupt_rate,
             mds_crash_rate=rate * args.mds_crash_rate,
-            n_mds_shards=testbed.mds_shards or None,
+            n_mds_shards=testbed.mds_shards,
             # With replication in play, random crashes must leave at least
             # one survivor per performance class or rebuild has no targets.
             class_counts=(
@@ -561,14 +580,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     results = run_jobs(jobs_list, jobs=args.jobs)
     width = max(len(name) for name in layouts) + 2
     with_corruption = args.corrupt_rate > 0
-    with_mds = testbed.mds_shards >= 1
     print(
         f"chaos sweep: {len(rates)} rates x {len(layouts)} layouts, seed {args.seed} "
         f"(rate = expected hangs+degrades per run; crashes/blips at half rate)"
     )
     with_rebuild = args.rebuild
     corrupt_header = f" {'corrupt':>7} {'poisoned':>8}" if with_corruption else ""
-    mds_header = f" {'mds-crash':>9} {'lost':>5}" if with_mds else ""
+    mds_header = f" {'mds-crash':>9} {'lost':>5}"
     rebuild_header = (
         f" {'data-lost':>9} {'at-risk':>8} {'mttr':>8}" if with_rebuild else ""
     )
@@ -592,14 +610,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             corruptions = stats.corruptions if stats is not None else 0
             poisoned = result.integrity.units_poisoned if result.integrity is not None else 0
             corrupt_cols = f" {corruptions:>7} {poisoned:>8}"
-        mds_cols = ""
-        if with_mds:
-            mds_crashes = result.mds.crashes if result.mds is not None else 0
-            lost = result.mds.lost_entries if result.mds is not None else 0
-            if result.mds is not None and result.mds.failed:
-                lost = max(lost, 1)  # an aborted run lost its namespace
-            lost_total += lost
-            mds_cols = f" {mds_crashes:>9} {lost:>5}"
+        lost = result.mds.lost_entries
+        if result.mds.failed:
+            lost = max(lost, 1)  # an aborted run lost its namespace
+        lost_total += lost
+        mds_cols = f" {result.mds.crashes:>9} {lost:>5}"
         rebuild_cols = ""
         if with_rebuild:
             dur = result.durability
@@ -619,15 +634,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             f"{slowdown:>8.2f}x  {injected:>8} {retries:>7} {failovers:>9} {rerouted:>8}"
             f"{corrupt_cols}{mds_cols}{rebuild_cols}"
         )
-    if with_mds:
-        verdict = "ok" if lost_total == 0 else "FAIL"
-        print(f"mds namespace check: {lost_total} lost entries -> {verdict}")
-        if lost_total:
-            print(
-                "error: metadata entries lost after shard crash recovery",
-                file=sys.stderr,
-            )
-            return 1
+    verdict = "ok" if lost_total == 0 else "FAIL"
+    print(f"mds namespace check: {lost_total} lost entries -> {verdict}")
+    if lost_total:
+        print(
+            "error: metadata entries lost after shard crash recovery",
+            file=sys.stderr,
+        )
+        return 1
     if any(result.cache is not None for result in results):
         stale_total = sum(
             result.cache.stale_hits for result in results if result.cache is not None
@@ -1277,8 +1291,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="expected metadata-shard crashes per run at sweep rate 1 "
-        "(default 0; requires --mds-shards >= 1; exits 1 if any namespace "
-        "entry is lost after recovery)",
+        "(default 0; crashes are drawn only while another shard survives, "
+        "so it needs --mds-shards >= 2; exits 1 if any namespace entry is "
+        "lost after recovery)",
     )
     p.add_argument(
         "--rates",

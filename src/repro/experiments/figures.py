@@ -648,14 +648,13 @@ def fig_mds_contention(
     outcomes = run_jobs(job_list, jobs=jobs)
     for job, outcome in zip(job_list, outcomes):
         cache = outcome.cache
-        mds = outcome.mds
         result.rows.append(
             MdsContentionRow(
                 shards=job.testbed.mds_shards,
                 cached=job.testbed.mds_cache,
                 makespan=outcome.makespan,
                 ops_per_second=n_ops / outcome.makespan if outcome.makespan else 0.0,
-                mean_hops=mds.mean_hops if mds is not None else 0.0,
+                mean_hops=outcome.mds.mean_hops,
                 hits=cache.hits if cache is not None else 0,
                 misses=cache.misses if cache is not None else 0,
                 coalesced=cache.coalesced if cache is not None else 0,

@@ -27,7 +27,6 @@ from repro.obs.tracer import EventTracer, ObsSnapshot, collect_snapshot, tracing
 from repro.pfs.filesystem import HybridPFS
 from repro.pfs.layout import LayoutPolicy
 from repro.pfs.mds_cluster import MetadataCluster, MetadataUnavailable
-from repro.pfs.metadata import MetadataServer
 from repro.simulate.engine import Simulator
 from repro.util.units import KiB, MiB
 
@@ -72,12 +71,9 @@ class Testbed:
     nic_parallelism: int = 4
     disk_scheduler: str = "fifo"
     network: NetworkModel | None = None
-    #: 0 (default) keeps the legacy single MetadataServer — the sharding
-    #: kill switch, byte-identical to builds that predate the cluster.
-    #: >= 1 builds a MetadataCluster with that many shards (1 shard routes
-    #: identically to legacy but pays the cluster bookkeeping).
-    mds_shards: int = 0
-    #: Ring routing mode when sharded: "finger" (O(log N)) or "linear".
+    #: Shards of the metadata service (a MetadataCluster); must be >= 1.
+    mds_shards: int = 1
+    #: Ring routing mode: "finger" (O(log N)) or "linear".
     mds_routing: str = "finger"
     #: Crash-to-journal-replay delay for mds-crash faults; None disables
     #: recovery (the crashed arc stays degraded for the rest of the run).
@@ -92,22 +88,22 @@ class Testbed:
     mds_cache: bool = False
     _params_by_bucket: dict | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.mds_shards < 1:
+            raise ValueError(f"mds_shards must be >= 1, got {self.mds_shards}")
+
     def build(self, sim: Simulator) -> HybridPFS:
         """Fresh PFS for one simulation run."""
         profile = (
             MdsProfile.parse(self.mds_profile) if self.mds_profile is not None else None
         )
-        mds = None
-        if self.mds_shards:
-            mds = MetadataCluster(
-                self.mds_shards,
-                routing=self.mds_routing,
-                recovery_delay=self.mds_recovery_delay,
-                seed=self.seed,
-                profile=profile,
-            )
-        elif profile is not None:
-            mds = MetadataServer(profile=profile)
+        mds = MetadataCluster(
+            self.mds_shards,
+            routing=self.mds_routing,
+            recovery_delay=self.mds_recovery_delay,
+            seed=self.seed,
+            profile=profile,
+        )
         return HybridPFS.build(
             sim,
             self.n_hservers,
@@ -189,20 +185,17 @@ class Testbed:
 
 
 def _mds_outcome(pfs, failed: bool = False):
-    """``RunResult.mds`` payload for a cluster-backed run (else None).
+    """``RunResult.mds`` payload: the metadata cluster's end-of-run stats.
 
     The expected namespace is rebuilt from the filesystem's live handles —
     every file's name and committed layout generation — so the cluster's
     ``lost_entries`` check covers exactly what clients would ask for after
     the run (the chaos zero-lost-entries gate).
     """
-    stats = getattr(pfs.mds, "stats", None)
-    if stats is None:
-        return None
     expected = {
         name: handle.layout_generation for name, handle in pfs._files.items()
     }
-    return stats(expected=expected, failed=failed)
+    return pfs.mds.stats(expected=expected, failed=failed)
 
 
 @dataclass(frozen=True)
@@ -226,9 +219,9 @@ class RunResult:
     #: per-tenant latency histograms + hedge counters) for runs produced by
     #: :func:`run_serving`; None for plain workload runs.
     serving: Any = None
-    #: Sharded-metadata summary (:class:`repro.pfs.mds_cluster.MdsStats`:
-    #: per-shard lookups, routing hops, crash/recovery/lost-entry counts)
-    #: when the run used a MetadataCluster; None on legacy-MDS runs.
+    #: Metadata-cluster summary (:class:`repro.pfs.mds_cluster.MdsStats`:
+    #: per-shard lookups, routing hops, crash/recovery/lost-entry counts).
+    #: Every harness run fills it; None only on hand-built results.
     mds: Any = None
     #: Client-side layout-cache summary
     #: (:class:`repro.pfs.filesystem.CacheStats`: hit/miss/coalesce/

@@ -80,7 +80,7 @@ class FaultStats:
     rerouted_subrequests: int = 0
     exhausted: int = 0
     #: Metadata-cluster resilience (repro.pfs.mds_cluster.ShardHealth);
-    #: all zero unless the run had a sharded MDS with mds-crash faults.
+    #: all zero unless the run had mds-crash faults.
     mds_crashes: int = 0
     mds_recoveries: int = 0
     mds_retries: int = 0
@@ -153,11 +153,6 @@ class FaultInjector:
 
     def _resolve_shard(self, shard: int | str) -> int:
         cluster = self.pfs.mds
-        if not hasattr(cluster, "crash_shard"):
-            raise FaultSpecError(
-                "mds-crash faults require a sharded metadata cluster "
-                "(run with --mds-shards >= 1)"
-            )
         if isinstance(shard, str):
             if shard.startswith("mds") and shard[3:].isdigit():
                 shard = int(shard[3:])
@@ -188,7 +183,6 @@ class FaultInjector:
         if self.schedule.mds_crashes():
             # Lookups must run interruptibly so a shard crash can abort
             # them mid-service; armed once, before any event fires.
-            self._resolve_shard(0)  # raises FaultSpecError on a legacy MDS
             self.pfs.mds.arm_interrupts()
         for event in self.schedule.sorted_events():
             server_id = None
@@ -296,8 +290,7 @@ class FaultInjector:
     def stats(self) -> FaultStats:
         """Snapshot injected-fault counts + the filesystem's recovery counters."""
         counters = self.pfs.health.counters()
-        fault_counters = getattr(self.pfs.mds, "fault_counters", None)
-        mds_counters = fault_counters() if fault_counters is not None else {}
+        mds_counters = self.pfs.mds.fault_counters()
         return FaultStats(
             crashes=self.injected["crash"],
             hangs=self.injected["hang"],

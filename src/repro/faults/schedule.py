@@ -120,12 +120,12 @@ class DataCorruption:
 class MdsCrash:
     """Permanent crash of metadata shard ``shard`` at ``time``.
 
-    Requires a sharded metadata cluster
-    (:class:`repro.pfs.mds_cluster.MetadataCluster`); installing against a
-    legacy single MetadataServer raises :class:`FaultSpecError`. The
-    shard's in-memory namespace is lost, its journal bytes survive; when
-    the cluster has recovery enabled the injector replays the journal on
-    the ring successor after ``recovery_delay``.
+    Targets a shard of the filesystem's
+    :class:`repro.pfs.mds_cluster.MetadataCluster`. The shard's in-memory
+    namespace is lost, its journal bytes survive; when the cluster has
+    recovery enabled the injector replays the journal on the ring successor
+    after ``recovery_delay``. A crash with no live successor (the last
+    shard standing) leaves its arc down for the rest of the run.
     """
 
     time: float
@@ -282,7 +282,7 @@ class FaultSchedule:
         corrupt_fraction: tuple[float, float] = (0.05, 0.5),
         max_crashes: int | None = None,
         mds_crash_rate: float = 0.0,
-        n_mds_shards: int | None = None,
+        n_mds_shards: int = 1,
         max_mds_crashes: int | None = None,
         class_counts: tuple[int, ...] | None = None,
         crash_restore_delay: float | None = None,
@@ -329,11 +329,14 @@ class FaultSchedule:
             for class_index, count in enumerate(class_counts):
                 class_of.extend([class_index] * count)
             class_alive = list(class_counts)
-        if mds_crash_rate > 0 and (n_mds_shards is None or n_mds_shards < 1):
-            raise FaultSpecError("mds_crash_rate > 0 requires n_mds_shards >= 1")
+        if mds_crash_rate > 0 and n_mds_shards < 2:
+            raise FaultSpecError(
+                "mds_crash_rate > 0 needs n_mds_shards >= 2 "
+                "(random mds crashes always leave one shard standing)"
+            )
         if max_mds_crashes is None:
             # At least one shard survives, so every crash has a successor.
-            max_mds_crashes = max(0, (n_mds_shards or 1) - 1)
+            max_mds_crashes = n_mds_shards - 1
         events: list[FaultEvent] = []
         for kind, rate in (
             ("crash", crash_rate),

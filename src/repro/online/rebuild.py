@@ -523,19 +523,17 @@ class RebuildManager:
         if self._idle is not None and not self._idle.triggered:
             self._idle.succeed()
 
-    def _journal(self, method: str, placement: Placement, **kwargs) -> None:
+    def _journal(self, record, placement: Placement, **kwargs) -> None:
         """Journal a rebuild record through the MDS WAL, if reachable.
 
-        Shadow namespaces (unregistered) and a fully dark metadata cluster
+        ``record`` is one of the metadata service's ``record_rebuild_*``
+        methods. Shadow namespaces (unregistered) and a fully dark metadata cluster
         skip the record — rebuild must restore redundancy even while the
         MDS is recovering; the commit's override map is re-journaled by the
         next committed move.
         """
         match = _EXTENT_NS.match(placement.extent_ns)
         if match is None:
-            return
-        record = getattr(self.pfs.mds, f"record_rebuild_{method}", None)
-        if record is None:
             return
         try:
             record(
@@ -592,7 +590,7 @@ class RebuildManager:
                 return
             # Nothing written: re-creating the (empty) placement is free.
             source = None
-        self._journal("begin", placement, target=target)
+        self._journal(self.pfs.mds.record_rebuild_begin, placement, target=target)
         target_server = pfs.servers[target]
         target_base = pfs._extent_base(target_ns, placement.region_id, target)
         target_checks = target_server.checksums
@@ -630,7 +628,7 @@ class RebuildManager:
                         # retire the partial target extent if it is ours
                         # alone, and requeue — the next attempt re-selects
                         # live endpoints (or accounts the loss).
-                        self._journal("abort", placement)
+                        self._journal(self.pfs.mds.record_rebuild_abort, placement)
                         self.aborted_copies += 1
                         self._abandon_partial(placement, target, target_ns, target_base)
                         if placement in self._queued:
@@ -654,7 +652,9 @@ class RebuildManager:
                         yield sim.timeout(idle)
         # Commit: swap the placement's location in one atomic (journaled)
         # step, then retire the old extent if the placement owned it alone.
-        self._journal("commit", placement, target=target, natural=natural)
+        self._journal(
+            self.pfs.mds.record_rebuild_commit, placement, target=target, natural=natural
+        )
         if natural:
             pfs.replica_overrides.pop(override_key, None)
         else:

@@ -9,10 +9,12 @@ Layers:
 - :mod:`repro.pfs.layout` — layout policies: fixed-size stripes (the
   baseline), hybrid fixed (h, s) pairs, randomly chosen stripes, and the
   region-level layout driven by HARL's RST.
-- :mod:`repro.pfs.server` / :mod:`repro.pfs.metadata` /
+- :mod:`repro.pfs.server` / :mod:`repro.pfs.mds_cluster` /
   :mod:`repro.pfs.filesystem` — the DES components: file servers wrapping
-  storage devices with FIFO disk and NIC queues, a metadata server serving
-  layout lookups, and the :class:`HybridPFS` facade clients talk to.
+  storage devices with FIFO disk and NIC queues, the metadata cluster (one
+  shard by default, each a journaled :mod:`repro.pfs.metadata` store)
+  serving layout lookups, and the :class:`HybridPFS` facade clients talk
+  to.
 - :mod:`repro.pfs.integrity` / :mod:`repro.pfs.journal` — end-to-end data
   integrity (per-stripe-unit checksums, typed :class:`IntegrityError`) and
   the crash-consistent metadata write-ahead log (DESIGN.md §11).

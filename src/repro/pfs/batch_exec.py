@@ -5,7 +5,7 @@
 simulation **arithmetically**, in two tiers that share one flat, fully
 materialized job table (:class:`FlatPresplit` sub-requests, expanded with
 replica mirror writes and physical extent bases, in MDS-dispatch order —
-arrival order shifted by any sharded-cluster ring-hop delays):
+arrival order shifted by any metadata ring-hop delays):
 
 1. the **columnar engine** (:mod:`repro.pfs.columnar`) evaluates every
    FIFO resource as a vectorized prefix-max/cumsum recurrence — no Python
@@ -181,14 +181,16 @@ def fast_path_blocker(handle, batch=None) -> str | None:
     stripe units, in which case a read could raise mid-flight and the full
     repair machinery must run.
 
-    A sharded :class:`~repro.pfs.mds_cluster.MetadataCluster` replays as
-    long as the ring is whole and calm: no armed crash interrupts, every
-    shard alive with an idle plain service queue, and no entry-time tie
-    whose general-path order would depend on event sequence numbers (the
-    per-batch analysis of :func:`_plan_mds`, which needs ``batch``). The
-    client-side metadata cache likewise replays in closed form via the
-    plan. Anything else returns a short reason string used both for the
-    fallback decision and the ``pfs.batch.fallback.*`` counters.
+    The metadata cluster replays as long as the ring is whole and calm:
+    no armed crash interrupts, every shard alive with an idle plain
+    service queue, and no entry-time tie whose general-path order would
+    depend on event sequence numbers (the per-batch analysis of
+    :func:`_plan_mds`). The client-side metadata cache likewise replays in
+    closed form via the plan. Without a ``batch`` the tie analysis cannot
+    run, so the answer is the conservative one: a cache, or a ring walk
+    with a hop delay, may tie. Anything else returns a short reason string
+    used both for the fallback decision and the ``pfs.batch.fallback.*``
+    counters.
     """
     pfs = handle.pfs
     sim = pfs.sim
@@ -217,40 +219,26 @@ def fast_path_blocker(handle, batch=None) -> str | None:
     if integrity is not None and integrity.units_poisoned > 0:
         return "integrity-poisoned"
     mds = pfs.mds
-    sharded = hasattr(mds, "crash_shard")
-    if sharded:
-        # Armed injectors also imply a non-empty heap (caught above); the
-        # flag check is defense in depth against manual arming.
-        if mds._interruptible:
-            return "mds-interruptible"
-        if not all(mds.health.alive):
-            return "mds-degraded"
-        if len(mds.ring) != mds.n_shards:
-            return "mds-ring-changed"
-        for shard in mds.shards:
-            service = shard._service
-            if service is None:
-                if shard.lookup_time(handle.layout.region_count()) > 0:
-                    return "mds-detached"
-            elif type(service) is not Resource:
-                return "custom-mds"
-            elif service._held or service._in_use or service._queue:
-                return "mds-busy"
-        if batch is None:
-            return "mds-cluster"
-    else:
-        service = mds._service
-        if service is None:
-            if mds.lookup_time(handle.layout.region_count()) > 0:
-                return "mds-detached"
-        else:
-            if type(service) is not Resource:
-                return "custom-mds"
-            if service._held or service._in_use or service._queue:
-                return "mds-busy"
-        if pfs.mds_cache is not None and batch is None:
+    # Armed injectors also imply a non-empty heap (caught above); the flag
+    # check is defense in depth against manual arming.
+    if mds._interruptible:
+        return "mds-interruptible"
+    if not all(mds.health.alive):
+        return "mds-degraded"
+    if len(mds.ring) != mds.n_shards:
+        return "mds-ring-changed"
+    for shard in mds.shards:
+        service = shard._service
+        if type(service) is not Resource:
+            return "custom-mds"
+        if service._held or service._in_use or service._queue:
+            return "mds-busy"
+    if batch is None:
+        if pfs.mds_cache is not None:
             return "mds-cache"
-    if batch is not None and (sharded or pfs.mds_cache is not None):
+        if mds.hop_latency > 0 and _ring_hops(mds, handle.name).any():
+            return "mds-entry-tie"
+    else:
         t0 = sim.now
         arrival_times, arrival_order = _arrivals(batch, t0)
         _, reason = _plan_mds(handle, batch, t0, arrival_times, arrival_order)
@@ -297,9 +285,9 @@ class _MdsPlan:
     for the timing-independent counters. ``mode``:
 
     - ``"queue"``: every request performs a real consult — FIFO service at
-      ``service`` (the owner shard's under a sharded cluster) entered at
-      per-request instants (arrival plus ring-hop delay), exiting — and
-      dispatching sub-requests — in ``entry_order``;
+      the owner shard's ``service`` entered at per-request instants
+      (arrival plus ring-hop delay), exiting — and dispatching
+      sub-requests — in ``entry_order``;
     - ``"fill"``: client cache miss — the first arrival leads one real
       consult, arrivals strictly before its fill instant coalesce onto it,
       later arrivals hit the filled entry; nobody else touches the MDS;
@@ -320,7 +308,6 @@ class _MdsPlan:
     #: Permutation for :func:`_materialize`'s first-touch extent order
     #: (None = batch order).
     dispatch_order: np.ndarray | None = None
-    cluster: object = None
     owner: object = None
     hops_total: int = 0
     hops_max: int = 0
@@ -330,6 +317,17 @@ class _MdsPlan:
     n_consults: int = 0
     n_coalesced: int = 0
     n_hits: int = 0
+
+
+def _ring_hops(cluster, key: str) -> np.ndarray:
+    """Hops of a lookup of ``key`` entering at each ring member, ring order."""
+    ring = cluster.ring
+    members = ring.members()
+    return np.fromiter(
+        (ring.route(member, key, cluster.routing)[0] for member in members),
+        dtype=np.int64,
+        count=len(members),
+    )
 
 
 def _plan_mds(
@@ -343,38 +341,35 @@ def _plan_mds(
     unchanged quiescent state) to drive the replay.
     """
     pfs = handle.pfs
-    mds = pfs.mds
+    cluster = pfs.mds
     n = len(batch)
     if n == 0:
         return _MdsPlan(mode="empty"), None
-    cluster = mds if hasattr(mds, "crash_shard") else None
-    lookup = mds.lookup_time(handle.layout.region_count())
     cache = pfs.mds_cache
+    if cache is not None and cache.is_valid(handle):
+        return (
+            _MdsPlan(
+                mode="hit",
+                spawn_times=arrival_times.copy(),
+                dispatch_order=arrival_order,
+                n_hits=n,
+            ),
+            None,
+        )
+    lookup = cluster.lookup_time(handle.layout.region_count())
+    key = handle.name
+    owner = cluster.shards[cluster.ring.owner_of(key)]
+    # Entry shards rotate with the consult sequence number (assigned in
+    # arrival order), and each consult pays its ring walk before queueing
+    # at the owner.
+    hops_m = _ring_hops(cluster, key)
     if cache is not None:
-        if cache.is_valid(handle):
-            return (
-                _MdsPlan(
-                    mode="hit",
-                    spawn_times=arrival_times.copy(),
-                    dispatch_order=arrival_order,
-                    n_hits=n,
-                ),
-                None,
-            )
         # Miss: the first arrival leads the one real consult; it finds the
         # (idle, the blocker's guarantee) service immediately.
         leader = int(arrival_order[0]) if arrival_order is not None else 0
-        leader_hops = 0
-        owner = None
-        service = mds._service if cluster is None else None
-        if cluster is not None:
-            members = cluster.ring.members()
-            entry = members[cluster._consult_seq % len(members)]
-            leader_hops, home = cluster.ring.route(entry, handle.name, cluster.routing)
-            owner = cluster.shards[home]
-            service = owner._service
+        leader_hops = int(hops_m[cluster._consult_seq % hops_m.shape[0]])
         t_enter = float(arrival_times[leader])
-        if cluster is not None and leader_hops and cluster.hop_latency > 0:
+        if leader_hops and cluster.hop_latency > 0:
             t_enter = t_enter + leader_hops * cluster.hop_latency
         t_fill = t_enter + lookup if lookup > 0 else t_enter
         # An arrival at exactly the fill instant resolves by event sequence
@@ -391,10 +386,9 @@ def _plan_mds(
             _MdsPlan(
                 mode="fill",
                 lookup=lookup,
-                service=service,
+                service=owner._service,
                 spawn_times=np.where(arrival_times > t_fill, arrival_times, t_fill),
                 dispatch_order=arrival_order,
-                cluster=cluster,
                 owner=owner,
                 hops_total=leader_hops,
                 hops_max=leader_hops,
@@ -405,32 +399,9 @@ def _plan_mds(
             ),
             None,
         )
-    if cluster is None:
-        return (
-            _MdsPlan(
-                mode="queue",
-                lookup=lookup,
-                service=mds._service,
-                entry_times=arrival_times,
-                entry_order=arrival_order,
-                dispatch_order=arrival_order,
-                n_consults=n,
-            ),
-            None,
-        )
-    # Uncached sharded cluster: entry shards rotate with the consult
-    # sequence number (assigned in arrival order), and each request pays
-    # its ring walk before queueing at the owner — so MDS entry order is
-    # arrival order shifted by per-request hop delays.
-    key = handle.name
-    members = cluster.ring.members()
-    hops_m = np.fromiter(
-        (cluster.ring.route(member, key, cluster.routing)[0] for member in members),
-        dtype=np.int64,
-        count=len(members),
-    )
-    owner = cluster.shards[cluster.ring.owner_of(key)]
-    ranks = (cluster._consult_seq + np.arange(n, dtype=np.int64)) % len(members)
+    # Uncached: MDS entry order is arrival order shifted by per-request
+    # hop delays.
+    ranks = (cluster._consult_seq + np.arange(n, dtype=np.int64)) % hops_m.shape[0]
     hops_by_rank = hops_m[ranks]
     hops_max = int(hops_by_rank.max())
     entry_times = arrival_times
@@ -466,7 +437,6 @@ def _plan_mds(
             entry_times=entry_times,
             entry_order=entry_order,
             dispatch_order=entry_order,
-            cluster=cluster,
             owner=owner,
             hops_total=int(hops_by_rank.sum()),
             hops_max=hops_max,
@@ -480,15 +450,14 @@ def _commit_mds(pfs, handle, plan: _MdsPlan) -> None:
     """Apply a plan's timing-independent MDS/cache counters after a replay."""
     if plan.mode == "empty":
         return
-    cluster = plan.cluster
     if plan.n_consults:
-        pfs.mds.lookup_count += plan.n_consults
-        if cluster is not None:
-            cluster._consult_seq += plan.n_consults
-            cluster.hops_total += plan.hops_total
-            if plan.hops_max > cluster.hops_max:
-                cluster.hops_max = plan.hops_max
-            plan.owner.lookup_count += plan.n_consults
+        cluster = pfs.mds
+        cluster.lookup_count += plan.n_consults
+        cluster._consult_seq += plan.n_consults
+        cluster.hops_total += plan.hops_total
+        if plan.hops_max > cluster.hops_max:
+            cluster.hops_max = plan.hops_max
+        plan.owner.lookup_count += plan.n_consults
     cache = pfs.mds_cache
     if plan.mode == "fill":
         if plan.lookup > 0:
@@ -529,7 +498,7 @@ def replay_batch(handle, batch, flat: FlatPresplit) -> tuple[np.ndarray, float, 
     # MDS service is FIFO with one uniform service time per batch, so
     # requests *exit* the MDS — and first-touch their extents — in the
     # plan's dispatch order (MDS entry order: arrival order shifted by any
-    # sharded ring-hop delays; plain arrival order for cache hits/fills).
+    # ring-hop delays; plain arrival order for cache hits/fills).
     plan, reason = _plan_mds(handle, batch, t0, arrival_times, arrival_order)
     if plan is None:
         raise RuntimeError(f"replay_batch without fast-path pre-flight: {reason}")
@@ -720,7 +689,7 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
         lookup = plan.lookup
         mds_enabled = lookup > 0
         service = plan.service
-        mds_cap = service.capacity if service is not None else 0
+        mds_cap = service.capacity
         entry_t = plan.entry_times
         order = plan.entry_order
     else:

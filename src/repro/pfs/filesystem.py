@@ -38,8 +38,7 @@ from repro.pfs.integrity import (
     IntegrityError,
 )
 from repro.pfs.layout import LayoutPolicy
-from repro.pfs.mds_cluster import MetadataUnavailable
-from repro.pfs.metadata import MetadataServer
+from repro.pfs.mds_cluster import MetadataCluster, MetadataUnavailable
 from repro.pfs.server import FileServer
 from repro.simulate.engine import Event, Process, Simulator
 from repro.util.rng import derive_rng
@@ -701,9 +700,7 @@ class MetadataCache:
         self.invalidations = 0
         self.dropped_fills = 0
         self.stale_hits = 0
-        subscribe = getattr(pfs.mds, "subscribe_invalidation", None)
-        if subscribe is not None:
-            subscribe(self.bump_epoch)
+        pfs.mds.subscribe_invalidation(self.bump_epoch)
 
     def bump_epoch(self) -> None:
         """Cluster-wide invalidation: crash or failover happened.
@@ -839,7 +836,7 @@ class ParallelFileSystem:
         sim: Simulator,
         servers: list[FileServer],
         network: NetworkModel,
-        mds: MetadataServer | None = None,
+        mds: MetadataCluster | None = None,
         mds_cache: bool = False,
     ):
         if not servers:
@@ -847,7 +844,9 @@ class ParallelFileSystem:
         self.sim = sim
         self.servers = list(servers)
         self.network = network
-        self.mds = mds or MetadataServer()
+        #: The metadata service; one shard unless the caller passes a
+        #: larger :class:`~repro.pfs.mds_cluster.MetadataCluster`.
+        self.mds = mds if mds is not None else MetadataCluster(1)
         self.mds.attach(sim)
         #: Client-side layout cache (:class:`MetadataCache`); None (the
         #: default) keeps every consult on the MDS, byte-identical to
@@ -1181,17 +1180,9 @@ class ParallelFileSystem:
         if self.write_quorum is not None:
             for key, value in self.quorum_stats.items():
                 registry.counter(f"pfs.quorum.{key}").inc(value)
-        # Journal counters appear only when the MDS write-ahead log is on.
-        journal = getattr(self.mds, "journal", None)
-        if journal is not None:
-            for key, value in journal.counters().items():
-                registry.counter(f"journal.{key}").inc(value)
-        # Sharded-MDS counters appear only when the metadata service is a
-        # cluster (duck typed; legacy runs export the exact historical set).
-        cluster_counters = getattr(self.mds, "cluster_counters", None)
-        if cluster_counters is not None:
-            for key, value in cluster_counters().items():
-                registry.counter(f"mds.{key}").inc(value)
+        # Metadata-service counters (lookups, hops, per-shard journals).
+        for key, value in self.mds.cluster_counters().items():
+            registry.counter(f"mds.{key}").inc(value)
         # Client-cache counters appear only when the cache is enabled, so
         # cache-off runs export the exact historical metric set.
         if self.mds_cache is not None:
@@ -1213,7 +1204,7 @@ class HybridPFS(ParallelFileSystem):
         hservers: list[FileServer],
         sservers: list[FileServer],
         network: NetworkModel,
-        mds: MetadataServer | None = None,
+        mds: MetadataCluster | None = None,
         mds_cache: bool = False,
     ):
         if not hservers and not sservers:
@@ -1248,7 +1239,7 @@ class HybridPFS(ParallelFileSystem):
         ssd_kwargs: dict | None = None,
         nic_parallelism: int = 4,
         disk_scheduler: str = "fifo",
-        mds: MetadataServer | None = None,
+        mds: MetadataCluster | None = None,
         mds_cache: bool = False,
     ) -> "HybridPFS":
         """Build the paper's testbed shape: M HDD servers + N SSD servers.

@@ -23,8 +23,10 @@ migration generation-swap is two records, but only ``migration_commit``
 mutates — recovery from any byte prefix yields exactly the pre- or
 post-mutation namespace, never a state in between.
 
-Journaling is opt-in (:meth:`MetadataServer.enable_journal`); with it off,
-nothing in the data or metadata path changes.
+A bare :class:`MetadataServer` journals once
+:meth:`MetadataServer.enable_journal` runs; every shard of the
+filesystem's :class:`~repro.pfs.mds_cluster.MetadataCluster` journals from
+birth, so every layout the filesystem accepts must serialize here.
 """
 
 from __future__ import annotations
@@ -51,9 +53,13 @@ def layout_to_spec(layout: LayoutPolicy) -> dict:
 
     Fixed-family layouts (including :class:`RandomLayout`, which reduces to
     its drawn stripe pair) serialize their striping config and replica
-    count; region-level layouts serialize the full RST plus the per-region
-    replica map. Inverse: :func:`layout_from_spec`.
+    count; multi-class :class:`~repro.pfs.tiered.TieredFixedLayout` its
+    stripe vector; region-level layouts serialize the full RST (two- or
+    multi-class rows) plus the per-region replica map. Inverse:
+    :func:`layout_from_spec`.
     """
+    from repro.pfs.tiered import TieredFixedLayout
+
     if isinstance(layout, RegionLevelLayout):
         return {
             "kind": "region",
@@ -70,6 +76,8 @@ def layout_to_spec(layout: LayoutPolicy) -> dict:
             "sstripe": config.sstripe,
             "replicas": layout.replicas,
         }
+    if isinstance(layout, TieredFixedLayout):
+        return {"kind": "tiered", "config": layout.config.to_dict()}
     raise TypeError(f"cannot journal layout type {type(layout).__name__}")
 
 
@@ -90,6 +98,10 @@ def layout_from_spec(spec: dict) -> LayoutPolicy:
             spec["sstripe"],
             replicas=int(spec.get("replicas", 1)),
         )
+    if kind == "tiered":
+        from repro.pfs.tiered import TieredFixedLayout, config_from_dict
+
+        return TieredFixedLayout(config_from_dict(spec["config"]))
     raise ValueError(f"unknown layout spec kind: {kind!r}")
 
 

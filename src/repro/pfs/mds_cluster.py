@@ -1,12 +1,11 @@
 """Sharded, fault-tolerant metadata service with journal-replayed failover.
 
-The single :class:`~repro.pfs.metadata.MetadataServer` is the reproduction's
-scalability wall and single point of failure: every RST consult of every
-client funnels through one service queue, and a crash loses the namespace.
-This module shards the namespace — file → layout, layout generations,
-pending two-phase migrations — across N metadata servers on a Chord-style
-consistent-hash ring keyed by file name, and makes the metadata path as
-resilient as the data path (DESIGN.md §14):
+One metadata server is a scalability wall and a single point of failure:
+every RST consult of every client funnels through one service queue, and a
+crash loses the namespace. This module shards the namespace — file →
+layout, layout generations, pending two-phase migrations — across N
+metadata servers on a Chord-style consistent-hash ring keyed by file name,
+and makes the metadata path as resilient as the data path (DESIGN.md §14):
 
 - **Ring layout** (:class:`HashRing`): every shard owns the arc of the
   2^32 hash space ending at its token; a file lives on the first shard at
@@ -42,12 +41,11 @@ from a consult sequence number, backoff jitter from
 ``hash()`` — so the same (seed, schedule) replays bit-identically, serial
 or under ``--jobs N``.
 
-With ``n_shards=1`` and no armed mds faults, :meth:`MetadataCluster.consult`
-performs the exact event sequence of the legacy single
-:class:`MetadataServer` (request → service timeout → release, zero hops),
-so makespans match the unsharded baseline — the kill switch is the
-``Testbed.mds_shards == 0`` default, which never constructs a cluster at
-all.
+The cluster is the filesystem's only metadata service; the default is one
+shard. With ``n_shards=1`` and no armed mds faults,
+:meth:`MetadataCluster.consult` is one queued service slot per lookup
+(request → service timeout → release, zero hops); the golden results in
+``tests/test_mds_golden.py`` pin that event sequence.
 """
 
 from __future__ import annotations
@@ -125,7 +123,11 @@ class HashRing:
     def __init__(self, members: list[int] | tuple[int, ...] = ()):
         self._position: dict[int, int] = {}
         self._sorted: list[tuple[int, int]] = []  # (position, member)
+        self._members: tuple[int, ...] = ()
         self._fingers: dict[int, list[int]] = {}
+        #: ``route`` answers for the current membership, keyed by
+        #: (entry, name, mode); cleared whenever the ring changes.
+        self._routes: dict[tuple[int, str, str], tuple[int, int]] = {}
         for member in members:
             self.join(member)
 
@@ -139,7 +141,7 @@ class HashRing:
 
     def members(self) -> tuple[int, ...]:
         """Members in ring (position) order — the entry-point rotation."""
-        return tuple(member for _, member in self._sorted)
+        return self._members
 
     def position_of(self, member: int) -> int:
         return self._position[member]
@@ -164,6 +166,8 @@ class HashRing:
 
     def _rebuild(self) -> None:
         self._sorted = sorted((p, m) for m, p in self._position.items())
+        self._members = tuple(member for _, member in self._sorted)
+        self._routes = {}
         # finger[k] of a member = owner of (position + 2^k): the classic
         # Chord table, rebuilt eagerly (membership changes are rare and the
         # ring is small).
@@ -211,30 +215,31 @@ class HashRing:
         ``linear`` walks successors one arc at a time; ``finger`` jumps via
         the closest preceding finger (Chord's O(log N) search). Both reach
         the same owner; only the hop count differs. Zero hops when the
-        entry already owns the key.
+        entry already owns the key. Answers are memoized until the
+        membership next changes.
         """
+        try:
+            return self._routes[entry, name, mode]
+        except KeyError:
+            pass
         if mode not in ROUTING_MODES:
             raise ValueError(f"unknown routing mode {mode!r}; expected one of {ROUTING_MODES}")
         owner = self.owner_of(name)
-        if entry == owner:
-            return 0, owner
         key = self.key_position(name)
         hops = 0
         current = entry
-        if mode == "linear":
-            while current != owner:
-                current = self.successor(current)
-                hops += 1
-            return hops, owner
         while current != owner:
             successor = self.successor(current)
-            if _in_arc(self._position[current], self._position[successor], key):
+            if mode == "linear" or _in_arc(
+                self._position[current], self._position[successor], key
+            ):
                 current = successor
             else:
                 current = self._closest_preceding(current, key)
                 if current is None:
                     current = successor
             hops += 1
+        self._routes[entry, name, mode] = (hops, owner)
         return hops, owner
 
     def _closest_preceding(self, member: int, key: int) -> int | None:
@@ -316,21 +321,29 @@ class ShardHealth:
 
 
 class MetadataShard(MetadataServer):
-    """One ring member: a journaled MetadataServer with an identity.
+    """One ring member: a journaled MetadataServer with a lookup queue.
 
     Always journals — the WAL is what makes the shard's namespace survive
-    its crash — and names its DES service resource after itself so traced
-    runs show per-shard queueing.
+    its crash — and, once attached to a simulator, owns the DES service
+    resource lookups queue at, named after the shard so traced runs show
+    per-shard queueing.
     """
 
     def __init__(self, shard_id: int, **mds_kwargs):
         super().__init__(**mds_kwargs)
         self.shard_id = int(shard_id)
         self.name = f"mds{shard_id}"
+        self._service: Resource | None = None
         self.enable_journal()
 
     def attach(self, sim: Simulator) -> None:
+        """Create the shard's DES lookup queue (``parallelism`` slots)."""
         self._service = Resource(sim, capacity=self.parallelism, name=self.name)
+
+    @property
+    def utilization_seconds(self) -> float:
+        """Total busy time of the shard's service (attached mode only)."""
+        return self._service.monitor.snapshot() if self._service else 0.0
 
     def adopt(self, name: str, layout: LayoutPolicy, generation: int) -> None:
         """Take ownership of an entry at its current generation (journaled).
@@ -390,13 +403,13 @@ class MdsStats:
 
 
 class MetadataCluster:
-    """N metadata shards behind one MetadataServer-shaped facade.
+    """The metadata service: N journaled shards behind one namespace API.
 
-    Drop-in for :class:`MetadataServer` everywhere the filesystem, online
-    controller, and harness touch metadata: the namespace API routes each
-    operation to the shard owning the file's arc, and :meth:`consult` is
-    the DES lookup path with hop costs, per-shard service queues, and the
-    retry/backoff/failover loop described in the module docstring.
+    Every filesystem owns exactly one (one shard unless configured
+    otherwise). The namespace API routes each operation to the shard owning
+    the file's arc, and :meth:`consult` is the DES lookup path with hop
+    costs, per-shard service queues, and the retry/backoff/failover loop
+    described in the module docstring.
     """
 
     def __init__(
@@ -452,13 +465,9 @@ class MetadataCluster:
         self._inflight: dict[int, set[Process]] = {i: set() for i in range(n_shards)}
         #: True once an mds-crash fault is armed: lookups run in child
         #: processes so a crash can interrupt them. Off by default — the
-        #: inline path is event-for-event identical to the legacy
-        #: MetadataServer.consult, the shards=1 parity contract.
+        #: inline path keeps the one-shard event sequence of the golden
+        #: parity contract.
         self._interruptible = False
-        #: The cluster has no single WAL; collect_metrics' legacy
-        #: ``journal.*`` export stays off and ``mds.*`` counters (which
-        #: aggregate the per-shard journals) are exported instead.
-        self.journal = None
         self.last_recovery = None
         #: Callbacks fired whenever cached layout entries may have gone
         #: stale cluster-wide (crash and journal-replayed failover); the
@@ -495,10 +504,6 @@ class MetadataCluster:
         return self.shards[0].lookup_time(n_regions, op=op)
 
     @property
-    def parallelism(self) -> int:
-        return self.shards[0].parallelism
-
-    @property
     def utilization_seconds(self) -> float:
         """Total busy time across all shard services (attached mode only)."""
         return sum(shard.utilization_seconds for shard in self.shards)
@@ -526,7 +531,7 @@ class MetadataCluster:
             if self.health.is_alive(member)
         ]
 
-    # -- namespace API (MetadataServer facade) ------------------------------
+    # -- namespace API (routed to the owner shard) --------------------------
 
     def register(self, name: str, layout: LayoutPolicy) -> None:
         self._owner_or_raise(name).register(name, layout)
@@ -636,25 +641,26 @@ class MetadataCluster:
         sim = self._sim
         if sim is None:
             raise RuntimeError("MetadataCluster not attached to a simulator")
-        service_time = self.lookup_time(layout.region_count(), op=op)
+        service_time = self.shards[0].lookup_time(layout.region_count(), op=op)
         key = name if name is not None else ""
         seq = self._consult_seq
         self._consult_seq += 1
         attempt = 0
+        ring = self.ring
+        alive = self.health.alive
         while True:
-            members = self.ring.members()
-            entry = members[seq % len(members)]
-            hops, home = self.ring.route(entry, key, self.routing)
+            members = ring._members
+            hops, home = ring.route(members[seq % len(members)], key, self.routing)
             self.hops_total += hops
             if hops > self.hops_max:
                 self.hops_max = hops
             if hops and self.hop_latency > 0:
                 yield sim.timeout(hops * self.hop_latency)
-            if self.health.is_alive(home):
+            if alive[home]:
                 shard = self.shards[home]
                 if not self._interruptible:
-                    # Inline fast path: the exact event sequence of the
-                    # legacy MetadataServer.consult (the parity contract).
+                    # Inline path: one queued service slot, no child
+                    # process (the golden parity contract).
                     if service_time <= 0:
                         shard.lookup_count += 1
                         return

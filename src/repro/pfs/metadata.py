@@ -1,4 +1,4 @@
-"""Metadata server: file namespace, RST lookups, and their runtime cost.
+"""Metadata namespace store: file → layout, generations, and lookup cost.
 
 In a real PFS a client contacts the MDS once per open and, under HARL, the
 MDS consults the RST per request to return region stripe info (Sec. III-F).
@@ -10,14 +10,16 @@ The model here makes that overhead real:
 
 - each lookup costs ``lookup_latency`` plus ``per_region_latency`` per
   level of a binary search over the file's region table (log2 of the
-  region count) — the RST lookup's actual data-structure cost;
-- lookups of concurrent clients contend on the MDS service capacity
+  region count) — the RST lookup's actual data-structure cost
+  (:meth:`MetadataServer.lookup_time`);
+- lookups of concurrent clients contend on each shard's service capacity
   (``parallelism`` simultaneous lookups), so metadata pressure grows with
   client count, as on a real MDS.
 
-A :class:`MetadataServer` is usable standalone (pure registry) or attached
-to a simulator by the owning filesystem, which enables the queued lookup
-path.
+A :class:`MetadataServer` is the pure namespace registry. The filesystem's
+metadata service is a :class:`~repro.pfs.mds_cluster.MetadataCluster`,
+whose shards are journaled ``MetadataServer`` subclasses with a DES
+service queue each; the cluster runs the queued lookup path.
 
 Crash consistency (DESIGN.md §11): with :meth:`MetadataServer.enable_journal`
 on, every namespace mutation is framed into a write-ahead
@@ -30,7 +32,6 @@ began but never committed roll back to the pre-migration layout.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
 
 from repro.pfs.journal import (
     MetadataJournal,
@@ -40,8 +41,6 @@ from repro.pfs.journal import (
     layout_to_spec,
 )
 from repro.pfs.layout import LayoutPolicy
-from repro.simulate.engine import Simulator
-from repro.simulate.resources import Resource
 from repro.util.validation import check_non_negative
 
 
@@ -72,7 +71,6 @@ class MetadataServer:
         self.parallelism = int(parallelism)
         self._files: dict[str, LayoutPolicy] = {}
         self._generations: dict[str, int] = {}
-        self._service: Resource | None = None
         self.lookup_count = 0
         #: Write-ahead journal; None (default) leaves every mutation
         #: unjournaled and the MDS behaviorally identical to before.
@@ -388,10 +386,6 @@ class MetadataServer:
 
     # -- runtime lookup cost ------------------------------------------------
 
-    def attach(self, sim: Simulator) -> None:
-        """Enable the queued lookup path (called by the owning filesystem)."""
-        self._service = Resource(sim, capacity=self.parallelism, name="mds")
-
     def lookup_time(self, n_regions: int, op: str = "open") -> float:
         """Service time of one request's RST consultation.
 
@@ -407,30 +401,3 @@ class MetadataServer:
             raise ValueError(f"n_regions must be >= 1, got {n_regions}")
         levels = math.ceil(math.log2(n_regions)) if n_regions > 1 else 0
         return self.lookup_latency + self.per_region_latency * levels
-
-    def consult(self, layout: LayoutPolicy, name: str | None = None, op: str = "open") -> Generator:
-        """DES generator: one queued RST lookup for a request on ``layout``.
-
-        ``name`` is the file being looked up; the single server ignores it
-        (one namespace, no routing) but the sharded
-        :class:`~repro.pfs.mds_cluster.MetadataCluster` shares this
-        signature and hashes it onto the ring. ``op`` picks the service-time
-        class when a calibrated profile is attached.
-        """
-        self.lookup_count += 1
-        service_time = self.lookup_time(layout.region_count(), op=op)
-        if service_time <= 0:
-            return
-        if self._service is None:
-            raise RuntimeError("MetadataServer not attached to a simulator")
-        sim = self._service.sim
-        grant = yield self._service.request()
-        try:
-            yield sim.timeout(service_time)
-        finally:
-            self._service.release(grant)
-
-    @property
-    def utilization_seconds(self) -> float:
-        """Total busy time of the MDS service (attached mode only)."""
-        return self._service.monitor.snapshot() if self._service else 0.0

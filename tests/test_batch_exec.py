@@ -20,6 +20,7 @@ from repro.pfs.batch_exec import fast_path_blocker
 from repro.pfs.filesystem import HybridPFS
 from repro.pfs.layout import FixedLayout, HybridFixedLayout, RegionLevelLayout
 from repro.pfs.mapping import StripingConfig
+from repro.pfs.mds_cluster import MetadataCluster
 from repro.core.rst import RegionStripeTable, RSTEntry
 from repro.simulate.engine import Simulator
 from repro.util.units import KiB
@@ -44,10 +45,10 @@ def _run(
         from repro.obs.tracer import EventTracer
 
         sim.tracer = EventTracer()
-    pfs = HybridPFS.build(sim, n_h, n_s, seed=0)
+    mds = None
     if lookup_time is not None:
-        pfs.mds.lookup_latency = lookup_time
-        pfs.mds.per_region_latency = lookup_time
+        mds = MetadataCluster(1, lookup_latency=lookup_time, per_region_latency=lookup_time)
+    pfs = HybridPFS.build(sim, n_h, n_s, seed=0, mds=mds)
     handle = pfs.create_file("f", layout)
     done = handle.request_batch(batch, force_general=force_general)
     sim.run(done)

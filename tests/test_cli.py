@@ -254,6 +254,20 @@ class TestIntegrityCLI:
         assert "1 corruptions" in out
         assert "0 silent" in out
 
+    def test_no_replicas_hint_when_replicas_already_set(self, capsys):
+        # This schedule still ends in an IntegrityError raised by the
+        # rebuild worker although a clean third copy exists; whatever the
+        # cause, a run with three replicas must not be told to use two.
+        code = main(
+            [
+                "run-ior", "--hservers", "4", "--sservers", "2", "--processes", "4",
+                "--file-size", "2M", "--request-size", "64K", "--replicas", "3",
+                "--rebuild", "--faults", "corrupt:sserver0@0.004%1.0;crash:hserver0@0.0045",
+            ]
+        )
+        assert code == 1
+        assert "--replicas 2" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -474,19 +488,31 @@ class TestMdsCli:
         assert code == 1
         captured = capsys.readouterr()
         assert "degraded" in captured.err
+        assert "recovery is off" in captured.err
         assert "Traceback" not in captured.err
 
     def test_negative_shards_exit_2(self, capsys):
         assert main(self.BASE + ["--mds-shards", "-3"]) == 2
         assert "--mds-shards" in capsys.readouterr().err
 
+    def test_zero_shards_exit_2(self, capsys):
+        assert main(self.BASE + ["--mds-shards", "0"]) == 2
+        assert "--mds-shards must be >= 1" in capsys.readouterr().err
+
     def test_bad_recovery_delay_exit_2(self, capsys):
         assert main(self.BASE + ["--mds-recovery-delay", "soon"]) == 2
         assert "--mds-recovery-delay" in capsys.readouterr().err
 
-    def test_mds_crash_without_cluster_exit_2(self, capsys):
-        assert main(self.BASE + ["--faults", "mds-crash:0@0.01"]) == 2
-        assert "--mds-shards" in capsys.readouterr().err
+    def test_mds_crash_on_the_only_shard_names_the_cause(self, capsys):
+        # Recovery is on (the default delay), but the one default shard
+        # has no successor to replay its journal on: say so, and do not
+        # tell the user to enable what is already enabled.
+        assert main(self.BASE + ["--faults", "mds-crash:0@0.01"]) == 1
+        captured = capsys.readouterr()
+        assert "mds: 1 shard (finger)" in captured.out
+        assert "the only metadata shard crashed" in captured.err
+        assert "no live shard was left to replay the journal" in captured.err
+        assert "enable recovery" not in captured.err
 
     def test_bad_mds_crash_spec_exit_2(self, capsys):
         assert main(self.BASE + ["--mds-shards", "2", "--faults", "mds-crash:@1"]) == 2

@@ -504,12 +504,16 @@ class TestMdsCrashSchedule:
         with pytest.raises(FaultSpecError):
             FaultSchedule.random(seed=0, horizon=1.0, n_servers=2, mds_crash_rate=1.0)
 
-    def test_injector_rejects_mds_crash_on_legacy_mds(self):
+    def test_injector_crashes_the_default_single_shard(self):
+        # The default filesystem has one shard: the crash lands, and with
+        # no successor to replay its journal the arc stays down.
         sim = Simulator()
         pfs = HybridPFS.build(sim, 2, 2)
-        schedule = parse_faults("mds-crash:0@0.5")
-        with pytest.raises(FaultSpecError, match="--mds-shards"):
-            FaultInjector(sim, pfs, schedule).install()
+        injector = FaultInjector(sim, pfs, parse_faults("mds-crash:0@0.01")).install()
+        sim.run()
+        assert injector.stats().mds_crashes == 1
+        assert injector.stats().mds_recoveries == 0
+        assert pfs.mds.health.alive == [False]
 
     def test_injector_rejects_out_of_range_shard(self):
         from repro.pfs.mds_cluster import MetadataCluster

@@ -16,6 +16,7 @@ from repro.pfs.journal import MetadataJournal, canonical_spec, layout_from_spec,
 from repro.pfs.layout import HybridFixedLayout, RegionLevelLayout
 from repro.pfs.mapping import StripingConfig
 from repro.pfs.metadata import MetadataServer
+from repro.pfs.tiered import MultiClassStripingConfig, TieredFixedLayout
 from repro.util.units import KiB, MiB
 
 _RST = RegionStripeTable(
@@ -288,3 +289,57 @@ class TestJournalFraming:
         counters = journal.counters()
         assert counters["appends"] == 1
         assert counters["bytes"] == len(journal.data)
+
+
+class TestTieredLayouts:
+    """Multi-class layouts journal and recover like the two-class ones."""
+
+    THREE_TIER = MultiClassStripingConfig([(2, 128 * KiB), (2, 64 * KiB), (4, 16 * KiB)])
+
+    def _layouts(self):
+        three_class_rst = RegionStripeTable(
+            [
+                RSTEntry(0, 0, 4 * MiB, self.THREE_TIER),
+                RSTEntry(
+                    1, 4 * MiB, None, MultiClassStripingConfig([(2, 0), (2, 64 * KiB), (4, 32 * KiB)])
+                ),
+            ]
+        )
+        return {
+            "tiered": TieredFixedLayout(self.THREE_TIER),
+            "region3": RegionLevelLayout(three_class_rst),
+        }
+
+    def test_recover_round_trips_tiered_and_three_class_layouts(self):
+        mds = MetadataServer()
+        mds.enable_journal()
+        for name, layout in self._layouts().items():
+            mds.register(name, layout)
+        recovered = MetadataServer.recover(mds.journal)
+        assert recovered.namespace_state() == mds.namespace_state()
+        tiered = recovered.lookup("tiered")
+        assert isinstance(tiered, TieredFixedLayout)
+        assert tiered.config == self.THREE_TIER
+        assert recovered.lookup("region3").rst.entries[0].config == self.THREE_TIER
+
+    def test_tiered_pfs_on_a_cluster_creates_tiered_files(self):
+        # Every shard journals, so creating a multi-class file used to
+        # raise TypeError("cannot journal layout type TieredFixedLayout").
+        from repro.devices.ssd import SSDModel
+        from repro.network.link import NetworkModel
+        from repro.pfs.mds_cluster import MetadataCluster
+        from repro.pfs.server import FileServer
+        from repro.pfs.tiered import TieredPFS
+        from repro.simulate.engine import Simulator
+
+        sim = Simulator()
+        net = NetworkModel()
+        tiers = [
+            [FileServer(sim, SSDModel(seed=c * 10 + i), net, name=f"t{c}.{i}") for i in range(n)]
+            for c, n in enumerate(self.THREE_TIER.class_counts)
+        ]
+        pfs = TieredPFS(sim, tiers, net, mds=MetadataCluster(2))
+        handle = pfs.create_file("f", TieredFixedLayout(self.THREE_TIER))
+        sim.run(handle.write(0, 1 * MiB))
+        assert handle.bytes_written == 1 * MiB
+        assert "f" in pfs.mds

@@ -34,8 +34,8 @@ from repro.workloads.metadata import MetadataConfig, MetadataWorkload
 LAYOUT = FixedLayout(2, 1, 64 * KiB)
 
 
-def _pfs(sim, shards=0, cache=True):
-    mds = MetadataCluster(shards, seed=0) if shards else None
+def _pfs(sim, shards=1, cache=True):
+    mds = MetadataCluster(shards, seed=0)
     return HybridPFS.build(sim, 2, 1, seed=0, mds=mds, mds_cache=cache)
 
 
@@ -201,7 +201,7 @@ class TestHarnessDeterminism:
             assert result.mds == serial.mds
             assert result.cache == serial.cache
 
-    @pytest.mark.parametrize("shards", [0, 2])
+    @pytest.mark.parametrize("shards", [1, 2])
     def test_cache_off_is_byte_identical_to_default_build(self, shards):
         default = run_workload(
             Testbed(n_hservers=2, n_sservers=1, seed=0, mds_shards=shards),

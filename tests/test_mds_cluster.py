@@ -6,9 +6,9 @@ Covers the DESIGN §14 contracts:
   moves the affected arc;
 - finger-table routing reaches the same owner as the linear walk in no
   more hops;
-- ``Testbed(mds_shards=1)`` reproduces the legacy single-MDS makespans
-  bit-identically across the fig7 layout families (the kill-switch
-  parity contract), and ``mds_shards=0`` builds no cluster at all;
+- every testbed builds a cluster (one shard by default; the golden
+  parity of that default lives in ``test_mds_golden.py``), and
+  ``mds_shards=0`` is rejected;
 - crashing a shard mid-run with recovery enabled loses zero namespace
   entries and replays identically, serial or under ``--jobs N``;
 - degraded mode (no recovery) surfaces typed ``MetadataUnavailable``
@@ -21,10 +21,10 @@ Covers the DESIGN §14 contracts:
 
 import pytest
 
-from repro.experiments.harness import Testbed, harl_plan, run_workload
+from repro.experiments.harness import Testbed, run_workload
 from repro.experiments.parallel import RunJob, run_jobs
-from repro.faults import FaultSpecError, RetryPolicy, parse_faults
-from repro.pfs.layout import FixedLayout, RandomLayout
+from repro.faults import RetryPolicy, parse_faults
+from repro.pfs.layout import FixedLayout
 from repro.pfs.mds_cluster import (
     ROUTING_MODES,
     HashRing,
@@ -115,30 +115,15 @@ class TestHashRing:
 
 
 class TestParityWhenOff:
-    def test_default_testbed_has_no_cluster(self):
+    def test_default_testbed_is_one_shard_cluster(self):
         result = run_workload(_testbed(), _ior(), LAYOUT, layout_name="64K")
-        assert result.mds is None
+        assert result.mds.n_shards == 1
+        assert result.mds.lookups == result.mds.shard_lookups[0] > 0
+        assert result.mds.hops_total == 0
 
-    @pytest.mark.parametrize(
-        "layout_name", ["fixed", "random", "harl"], ids=["fixed64K", "random", "harl"]
-    )
-    def test_one_shard_matches_legacy_makespan(self, layout_name):
-        workload = _ior()
-        legacy_bed = _testbed()
-        sharded_bed = _testbed(mds_shards=1)
-        if layout_name == "fixed":
-            layout = FixedLayout(2, 2, 64 * KiB)
-        elif layout_name == "random":
-            layout = RandomLayout(2, 2, seed=1)
-        else:
-            layout = harl_plan(legacy_bed, workload)
-        legacy = run_workload(legacy_bed, workload, layout, layout_name=layout_name)
-        sharded = run_workload(sharded_bed, workload, layout, layout_name=layout_name)
-        assert sharded.makespan == legacy.makespan
-        assert sharded.mds is not None
-        assert sharded.mds.n_shards == 1
-        assert sharded.mds.lookups == sharded.mds.shard_lookups[0]
-        assert legacy.mds is None
+    def test_zero_shards_rejected(self):
+        with pytest.raises(ValueError, match="mds_shards"):
+            _testbed(mds_shards=0)
 
     def test_multi_shard_run_spreads_no_hops_for_one_file(self):
         # One shared file hashes to one arc: every lookup lands on its
@@ -308,15 +293,20 @@ class TestCrashMidRunDeterminism:
         assert result.mds.retries == 0
         assert result.mds.lost_entries == 0
 
-    def test_mds_crash_on_legacy_mds_rejected_at_install(self):
-        with pytest.raises(FaultSpecError, match="--mds-shards"):
-            run_workload(
-                _testbed(),  # no cluster
-                _ior(),
-                LAYOUT,
-                faults=parse_faults("mds-crash:0@0.01"),
-                retry=RetryPolicy(seed=0),
-            )
+    def test_mds_crash_on_the_only_shard_fails_typed(self):
+        # The default single shard has no successor to replay its journal
+        # on: the run ends as a typed degraded outcome, not a traceback.
+        result = run_workload(
+            _testbed(),
+            _ior(),
+            LAYOUT,
+            faults=parse_faults("mds-crash:0@0.01"),
+            retry=RetryPolicy(seed=0),
+        )
+        assert result.mds.failed is True
+        assert result.mds.crashes == 1
+        assert result.mds.recoveries == 0
+        assert result.faults.mds_unavailable >= 1
 
 
 class TestBatchFastPath:

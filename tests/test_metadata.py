@@ -6,6 +6,7 @@ from repro.core.rst import RegionStripeTable, RSTEntry
 from repro.pfs.filesystem import HybridPFS
 from repro.pfs.layout import FixedLayout, RegionLevelLayout
 from repro.pfs.mapping import StripingConfig
+from repro.pfs.mds_cluster import MetadataCluster
 from repro.pfs.metadata import MetadataServer
 from repro.simulate.engine import Simulator
 from repro.util.units import KiB, MiB
@@ -61,7 +62,7 @@ class TestLookupCost:
             MetadataServer(parallelism=0)
 
     def test_consult_requires_attachment(self):
-        mds = MetadataServer()
+        mds = MetadataCluster(1)
         with pytest.raises(RuntimeError, match="not attached"):
             list(mds.consult(FixedLayout(2, 1, 64 * KiB)))
 
@@ -94,10 +95,8 @@ class TestConsultInSimulation:
 
     def test_mds_contention_serializes_lookups(self):
         sim = Simulator()
-        mds = MetadataServer(lookup_latency=1e-3, per_region_latency=0, parallelism=1)
-        pfs = HybridPFS.build(sim, 2, 1, seed=0)
-        pfs.mds = mds
-        mds.attach(sim)
+        mds = MetadataCluster(1, lookup_latency=1e-3, per_region_latency=0, parallelism=1)
+        pfs = HybridPFS.build(sim, 2, 1, seed=0, mds=mds)
         handle = pfs.create_file("f", FixedLayout(2, 1, 64 * KiB))
         procs = [handle.write(i * 64 * KiB, 64 * KiB) for i in range(8)]
         sim.run(sim.all_of(procs))

@@ -8,6 +8,7 @@ from repro.network.link import NetworkModel
 from repro.pfs.client import ClientRequest, PFSClient
 from repro.pfs.filesystem import HybridPFS
 from repro.pfs.layout import FixedLayout, HybridFixedLayout
+from repro.pfs.mds_cluster import MetadataCluster
 from repro.pfs.server import FileServer
 from repro.simulate.engine import Simulator
 from repro.util.units import KiB, MiB
@@ -100,8 +101,7 @@ class TestRequests:
 
     def test_mds_latency_on_critical_path(self):
         sim = Simulator()
-        pfs = HybridPFS.build(sim, 1, 1, seed=0)
-        pfs.mds.lookup_latency = 1.0
+        pfs = HybridPFS.build(sim, 1, 1, seed=0, mds=MetadataCluster(1, lookup_latency=1.0))
         handle = pfs.create_file("f", FixedLayout(1, 1, 64 * KiB))
         elapsed = sim.run(handle.write(0, KiB))
         assert elapsed > 1.0
