@@ -31,7 +31,7 @@ from repro.pfs.mapping import (
 )
 from repro.simulate.engine import Simulator
 from repro.simulate.resources import Resource
-from repro.util.units import KiB
+from repro.util.units import KiB, MiB
 
 PARAMS = CostModelParameters(
     n_hservers=6,
@@ -498,6 +498,62 @@ def test_perf_batched_replay_1m_speedup(benchmark):
     assert general_wall >= 10.0 * benchmark.stats.stats.min, (
         f"fast path only {general_wall / benchmark.stats.stats.min:.2f}x faster"
     )
+
+
+def _harl_fig11_write():
+    """Fig. 11's four regions as one write batch under a HARL-shaped RST.
+
+    Each region stripes HServers and SServers differently (h != s), so one
+    server receives 16K-512K sub-requests and its 4-slot NIC sees per-job
+    transfer times. The table is fixed, not planned, to keep calibration
+    out of the timing.
+    """
+    from repro.core.rst import RegionStripeTable, RSTEntry
+    from repro.pfs.layout import RegionLevelLayout
+    from repro.workloads.synthetic import RegionSpec, SyntheticRegionWorkload
+
+    regions = (
+        (256 * MiB, 64 * KiB, 16 * KiB, 32 * KiB),
+        (1024 * MiB, 1024 * KiB, 0, 512 * KiB),
+        (2048 * MiB, 256 * KiB, 16 * KiB, 80 * KiB),
+        (4096 * MiB, 512 * KiB, 32 * KiB, 160 * KiB),
+    )
+    entries = []
+    offset = 0
+    for region_id, (size, _, hstripe, sstripe) in enumerate(regions):
+        end = None if region_id == len(regions) - 1 else offset + size
+        config = StripingConfig(6, 2, hstripe, sstripe)
+        entries.append(RSTEntry(region_id=region_id, offset=offset, end=end, config=config))
+        offset += size
+    workload = SyntheticRegionWorkload(
+        [RegionSpec(size, request, coverage=0.25) for size, request, _, _ in regions],
+        n_processes=16,
+        seed=1,
+    )
+    return RegionLevelLayout(RegionStripeTable(entries)), workload.request_batch()
+
+
+def test_perf_harl_uneven_columnar_replay(benchmark):
+    """A HARL write batch with uneven sub-requests on 4-slot NICs.
+
+    Guards the columnar tier's slot kernel: this shape must replay
+    vectorized, not fall back to the per-sub-request event heap.
+    """
+    layout, batch = _harl_fig11_write()
+
+    def run():
+        sim = Simulator()
+        pfs = HybridPFS.build(sim, 6, 2, seed=0, nic_parallelism=4)
+        handle = pfs.create_file("f", layout)
+        sim.run(handle.request_batch(batch))
+        assert pfs.batch_stats["fast_columnar_batches"] == 1, pfs.batch_fallbacks
+        return sim.now
+
+    result = benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
+    assert result > 0
+    baseline = _baseline_mean("test_perf_harl_uneven_columnar_replay")
+    if baseline is not None:
+        assert benchmark.stats.stats.mean <= baseline * 2.0
 
 
 def test_perf_schedule_many(benchmark):

@@ -45,6 +45,7 @@ from repro.devices.base import OpType
 from repro.online.pacing import check_pacing, duty_cycle_idle, written_runs
 from repro.pfs.filesystem import ParallelFileSystem
 from repro.pfs.health import ServerUnavailable
+from repro.pfs.integrity import IntegrityError
 from repro.pfs.mds_cluster import MetadataUnavailable
 from repro.util.units import MiB
 
@@ -281,18 +282,21 @@ class RebuildManager:
                 return [(offset - base, size) for offset, size in runs]
         return []
 
-    def _live_source(self, placement: Placement, copies: int, exclude: int | None = None):
-        """First copy of the column on a live server with an extent, or None."""
+    def _live_sources(
+        self, placement: Placement, copies: int, exclude: int | None = None
+    ) -> list[tuple[int, int]]:
+        """Copies of the column on live servers with an extent, in copy order."""
         health = self.pfs.health
+        sources = []
         for copy in range(copies):
             located = self._copy_extent(placement, copy)
             if located is None:
                 continue
-            server_id, base = located
+            server_id, _ = located
             if server_id == exclude or not health.is_alive(server_id):
                 continue
-            return server_id, base
-        return None
+            sources.append(located)
+        return sources
 
     def _pick_target(self, placement: Placement, copies: int) -> tuple[int, str, bool] | None:
         """Choose a live target: ``(server, extent_ns, natural)``, or None.
@@ -455,7 +459,7 @@ class RebuildManager:
             for placement, copies in victims:
                 ranges = self._column_ranges(placement, copies)
                 risk = sum(size for _, size in ranges)
-                if risk > 0 and self._live_source(placement, copies) is None:
+                if risk > 0 and not self._live_sources(placement, copies):
                     # The victim held the last copy of written column data.
                     self._record_loss(placement, risk)
                     lost_total += risk
@@ -574,8 +578,8 @@ class RebuildManager:
         # extent is retired on success (exclusive namespaces only; a shared
         # mirror bucket still backs sibling columns).
         old = self._copy_extent(placement, placement.copy)
-        source = self._live_source(placement, copies, exclude=target)
-        if source is None:
+        sources = self._live_sources(placement, copies, exclude=target)
+        if not sources:
             if any(size > 0 for _, size in ranges):
                 lost = sum(size for _, size in ranges)
                 self._record_loss(placement, lost)
@@ -589,7 +593,6 @@ class RebuildManager:
                     )
                 return
             # Nothing written: re-creating the (empty) placement is free.
-            source = None
         self._journal(self.pfs.mds.record_rebuild_begin, placement, target=target)
         target_server = pfs.servers[target]
         target_base = pfs._extent_base(target_ns, placement.region_id, target)
@@ -606,9 +609,8 @@ class RebuildManager:
             # writes that landed after a rejoin are newer than any copy).
             todo = _subtract_runs(todo, existing)
         copied = 0
-        if source is not None:
-            source_id, source_base = source
-            source_server = pfs.servers[source_id]
+        lost = 0
+        if sources:
             tracer = sim.tracer
             for rel_offset, size in todo:
                 cursor = rel_offset
@@ -617,12 +619,11 @@ class RebuildManager:
                     step = min(self.chunk_size, end - cursor)
                     chunk_started = sim.now
                     try:
-                        yield from source_server.serve(
-                            OpType.READ, source_base + cursor, step
-                        )
-                        yield from target_server.serve(
-                            OpType.WRITE, target_base + cursor, step
-                        )
+                        clean = yield from self._read_clean_chunk(sources, cursor, step)
+                        if clean:
+                            yield from target_server.serve(
+                                OpType.WRITE, target_base + cursor, step
+                            )
                     except ServerUnavailable:
                         # Source or target died mid-copy: journal the abort,
                         # retire the partial target extent if it is ours
@@ -634,6 +635,10 @@ class RebuildManager:
                         if placement in self._queued:
                             self._queue.append(placement)
                         return
+                    if not clean:
+                        lost += step
+                        cursor += step
+                        continue
                     copied += step
                     self.chunks += 1
                     if tracer is not None:
@@ -666,8 +671,35 @@ class RebuildManager:
         self._integrate()
         self.placements_rebuilt += 1
         self.bytes_rebuilt += copied
-        self._resolve(placement, restored=True)
+        if lost:
+            self._record_loss(placement, lost)
+        self._resolve(placement, restored=not lost)
         self._mark_timeline()
+        if lost and self.fail_on_loss:
+            raise DataLossError(
+                f"every live copy of {placement.extent_ns} region "
+                f"{placement.region_id} failed verification for {lost} bytes",
+                lost_bytes=lost,
+            )
+
+    def _read_clean_chunk(self, sources: list[tuple[int, int]], offset: int, size: int):
+        """DES generator: read one chunk from the first copy that verifies.
+
+        A poisoned copy stands as an unrepairable detection, left for the
+        scrubber as in read repair, and the next live copy is tried.
+        Returns False when no copy is clean.
+        """
+        pfs = self.pfs
+        for source_id, source_base in sources:
+            try:
+                yield from pfs.servers[source_id].serve(
+                    OpType.READ, source_base + offset, size
+                )
+            except IntegrityError:
+                pfs.integrity.unrepairable += 1
+                continue
+            return True
+        return False
 
     def _retire_extent(self, placement: Placement, server_id: int) -> None:
         """Drop the placement's extent on ``server_id`` if it owns it alone."""

@@ -8,10 +8,11 @@ replica mirror writes and physical extent bases, in MDS-dispatch order —
 arrival order shifted by any metadata ring-hop delays):
 
 1. the **columnar engine** (:mod:`repro.pfs.columnar`) evaluates every
-   FIFO resource as a vectorized prefix-max/cumsum recurrence — no Python
-   loop over sub-requests at all. It covers the common shape (single-op
-   batch, stock device/network models) and *bails* losslessly when a
-   precondition fails at run time;
+   FIFO resource as a vectorized prefix-max/cumsum recurrence — no event
+   loop at all (a multi-slot NIC with per-job transfer times takes one
+   slot-heap step per sub-request). It covers every single-op batch on
+   stock device/network models, uniform or uneven, and *bails* losslessly
+   when a precondition fails at run time;
 2. the **event-heap replay** (the columnar tier's fallback) walks one flat
    heap of plain tuples instead of the generator-coroutine machinery
    (``Process`` objects, resource grant events, ``AllOf`` joins) that
@@ -671,9 +672,9 @@ def _commit_integrity(pfs, jobs: _JobSet) -> None:
 def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarray:
     """Event-heap tier: replay the materialized jobs tuple by tuple.
 
-    Exact for any batch shape the blocker admits (mixed ops, varying NIC
-    service at capacity > 1, schedules with grant/departure ties — all the
-    cases the columnar tier bails on). The MDS stage comes pre-analyzed in
+    Exact for any batch shape the blocker admits (mixed ops, schedules with
+    feed/departure ties on multi-slot resources — the cases the columnar
+    tier does not cover). The MDS stage comes pre-analyzed in
     ``plan``: queue mode feeds the shadow FIFO at the planned entry
     instants; fill/hit modes skip the shadow MDS entirely and spawn each
     request's sub-jobs at its planned spawn instant. Commits resource

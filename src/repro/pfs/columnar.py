@@ -9,30 +9,36 @@ a *deterministic FIFO recurrence* that numpy can evaluate in bulk:
   ``f_i`` departs at ``d_i = fl(max(f_i, d_{i-1}) + s_i)``;
 - a capacity-``c`` resource with *constant* service ``L`` decomposes into
   ``c`` independent such chains (job ``j`` starts when job ``j - c``
-  departs), one per residue lane of the feed order.
+  departs), one per residue lane of the feed order;
+- a capacity-``c`` resource whose service varies per job (HARL's uneven
+  per-server sub-requests on a multi-slot NIC) runs a slot heap: job ``k``
+  is granted at ``max(f_k, earliest slot free time)``.
 
 IEEE-754 forbids closed forms (every ``+`` must round in sequence), but
 ``np.add.accumulate`` is an exact sequential left fold, so each busy period
 evaluates as one vectorized cumulative sum; a restart loop re-anchors at
 idle gaps. Utilization intervals fall out arithmetically: for capacity 1
 every departure closes one interval (``d_i - g_i``); for capacity > 1 the
-interval endpoints are recovered from the queue-depth prefix counts.
+grants and departures replay in the general path's order and a running
+depth count marks each interval's ends.
 
 Bit-exactness contract: completion times, busy-time floats (same summation
 order), resource counters, device counters/state, and device RNG streams
 (drawn in grant order with vectorized ``Generator.uniform`` calls, which
 are bitwise-identical to the equivalent scalar call sequence) all match the
 general DES path. Whenever a precondition cannot be established cheaply —
-varying NIC service at capacity > 1, an exact feed/departure time collision
-on a multi-slot resource (tie resolution would depend on heap sequence
-numbers), an SSD write reaching a whole GC window, or too many idle gaps
-for the restart loop — the engine *bails*: it restores any consumed device
-RNG state and returns ``None``, and the caller falls back to the event-heap
-replay (still exact, still fast).
+an exact feed/departure time collision on a multi-slot resource (tie
+resolution would depend on heap sequence numbers), an SSD write reaching a
+whole GC window, or too many idle gaps for the restart loop — the engine
+*bails*: it restores any consumed device RNG state and returns ``None``,
+and the caller falls back to the event-heap replay (still exact, still
+fast).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,47 +132,69 @@ def _fifo_const(
         done[lane::cap] = lane_done
     if np.isin(feed, done).any():
         return None  # exact feed/departure tie: ordering is seq-dependent
-    deltas = _multislot_deltas(feed, done, cap)
-    if deltas is None:
-        return None
-    return done, deltas
+    # Departures run in rank order, so waiter k takes the slot of job k - cap.
+    k = np.arange(n)
+    freed_by = np.where(feed < _prev_done(done, cap), k - cap, -1)
+    return done, _slot_deltas(feed, done, freed_by)
 
 
-def _multislot_deltas(feed: np.ndarray, done: np.ndarray, cap: int) -> np.ndarray | None:
-    """Busy-interval deltas of a capacity-``cap`` FIFO from its schedule.
+def _fifo_slots(
+    feed: np.ndarray, svc: np.ndarray, cap: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Departures and busy deltas of a capacity-``cap`` FIFO, any service.
 
-    With no feed/departure ties, processing order is unambiguous and queue
-    depth before each event is a prefix count: a departure closes an
-    interval iff depth 1, a grant opens one iff depth 0. A closure whose
-    departure regrants a waiter reopens at the same instant (matching
-    ``Resource.release``'s close-then-grant).
+    The slot kernel keeps one ``(free time, rank of the departing job)``
+    entry per slot in a min-heap. Job k is granted at ``max(f_k, min free)``
+    and departs at ``fl(g_k + s_k)``; when it had to wait, the popped entry
+    names the departure whose release regranted it. Popping by (time, rank)
+    is the general path's processing order for simultaneous departures
+    (grants fire in FIFO order, so departure event sequence numbers rise
+    with rank). Returns None on an exact feed/departure tie.
+    """
+    free = [(-math.inf, -1)] * cap
+    done = []
+    freed_by = []
+    for k, (f, s) in enumerate(zip(feed.tolist(), svc.tolist())):
+        t, rank = free[0]
+        if f < t:  # queued until departure ``rank`` frees its slot
+            d = t + s
+            freed_by.append(rank)
+        else:
+            d = f + s
+            freed_by.append(-1)
+        heapq.heapreplace(free, (d, k))
+        done.append(d)
+    done = np.array(done, dtype=np.float64)
+    if np.isin(feed, done).any():
+        return None  # exact feed/departure tie: ordering is seq-dependent
+    return done, _slot_deltas(feed, done, np.array(freed_by, dtype=np.int64))
+
+
+def _slot_deltas(feed: np.ndarray, done: np.ndarray, freed_by: np.ndarray) -> np.ndarray:
+    """Busy-interval deltas of a multi-slot FIFO from its schedule.
+
+    ``freed_by[k]`` is the rank of the departure whose release regranted
+    waiter k, or -1 for a direct grant at its feed time. Events replay in
+    ``(time, departure rank, departure-before-regrant)`` order, so each
+    regrant lands right after the departure that freed its slot — exactly
+    ``Resource.release``'s close-then-grant. A plain time sort would move
+    every regrant behind all simultaneous departures and close and reopen
+    an interval the general path keeps open. With feed/departure ties
+    excluded, direct grants never share an instant with a departure. A
+    departure that empties the resource closes an interval; a grant into
+    an empty one opens it.
     """
     n = feed.shape[0]
-    queued = feed <= _prev_done(done, cap)
-    feed_direct = feed[~queued]
-    qpre = np.concatenate(([0], np.cumsum(queued)))
     k = np.arange(n)
-    # Depth just before departure k's release: grants issued so far (direct
-    # feeds strictly earlier, plus waiters regranted by departures < k)
-    # minus the k departures already processed.
-    depth = (
-        np.searchsorted(feed_direct, done, side="left")
-        + qpre[np.minimum(k + cap, n)]
-        - k
-    )
-    closes_mask = depth == 1
-    closes = done[closes_mask]
-    # Opens: direct grants arriving at depth 0 ...
-    r = np.searchsorted(done, feed_direct, side="left")
-    m = np.arange(feed_direct.shape[0])
-    open_direct = feed_direct[(m + qpre[np.minimum(r + cap, n)] - r) == 0]
-    # ... plus close-and-reopen instants (departure k regrants waiter k+cap).
-    kk = k[closes_mask]
-    kk = kk[kk + cap < n]
-    reopen = done[kk[queued[kk + cap]]]
-    opens = np.sort(np.concatenate((open_direct, reopen)))
-    if opens.shape[0] != closes.shape[0]:
-        return None  # schedule did not quiesce as analyzed; use the heap
+    queued = freed_by >= 0
+    times = np.concatenate((done, np.where(queued, done[freed_by], feed)))
+    ranks = np.concatenate((k, np.where(queued, freed_by, k)))
+    regrant = np.concatenate((np.zeros(n, dtype=bool), np.ones(n, dtype=bool)))
+    order = np.lexsort((regrant, ranks, times))
+    is_grant = order >= n
+    depth = np.cumsum(np.where(is_grant, 1, -1))
+    closes = times[order[~is_grant & (depth == 0)]]
+    opens = times[order[is_grant & (depth == 1)]]
     return closes - opens
 
 
@@ -249,8 +277,6 @@ def _server_pass(server, feed, offsets, sizes, op_is_read: bool, budget: list):
     sizes_f = sizes.astype(np.float64)
     transfer = (net.latency + sizes_f * net.unit_time) * net.congestion
     cap = server.nic.capacity
-    if cap > 1 and sizes.shape[0] > 1 and transfer.min() != transfer.max():
-        return None  # varying service on a multi-slot NIC: lanes don't apply
 
     def nic_stage(nic_feed):
         if cap == 1:
@@ -258,7 +284,9 @@ def _server_pass(server, feed, offsets, sizes, op_is_read: bool, budget: list):
             if done is None:
                 return None
             return done, done - np.maximum(nic_feed, _prev_done(done, 1))
-        return _fifo_const(nic_feed, float(transfer[0]), cap, budget)
+        if transfer.min() == transfer.max():
+            return _fifo_const(nic_feed, float(transfer[0]), cap, budget)
+        return _fifo_slots(nic_feed, transfer, cap)
 
     if op_is_read:
         svc = _device_services(server.device, True, offsets, sizes, sizes_f)
@@ -279,15 +307,22 @@ def _server_pass(server, feed, offsets, sizes, op_is_read: bool, budget: list):
         if nic is None:
             return None
         nic_done, nic_deltas = nic
-        svc = _device_services(server.device, False, offsets, sizes, sizes_f)
+        # The disk takes jobs in NIC departure order; equal-time departures
+        # keep feed order, as their event sequence numbers do.
+        grant = np.argsort(nic_done, kind="stable")
+        disk_feed = nic_done[grant]
+        svc = _device_services(
+            server.device, False, offsets[grant], sizes[grant], sizes_f[grant]
+        )
         if svc is None:
             return None
         svc, new_head, new_gc = svc
-        disk_done = _chain(nic_done, svc, budget)
+        disk_done = _chain(disk_feed, svc, budget)
         if disk_done is None:
             return None
-        disk_deltas = disk_done - np.maximum(nic_done, _prev_done(disk_done, 1))
-        completion = disk_done
+        disk_deltas = disk_done - np.maximum(disk_feed, _prev_done(disk_done, 1))
+        completion = np.empty_like(disk_done)
+        completion[grant] = disk_done
     return _ServerPass(
         server=server,
         completion=completion,

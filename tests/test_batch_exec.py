@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.network.link import NetworkModel
 from repro.pfs.batch import RequestBatch
 from repro.pfs.batch_exec import fast_path_blocker
 from repro.pfs.filesystem import HybridPFS
@@ -344,10 +345,13 @@ class TestColumnarTier:
             is_read=np.full(n, op_read, dtype=bool),
         )
 
-    def _run_pair(self, layout, batch, *, integrity=False):
+    def _run_pair(self, layout, batch, *, integrity=False, lookup=None, **build):
         def run(force_general):
             sim = Simulator()
-            pfs = HybridPFS.build(sim, 2, 1, seed=0)
+            mds = None
+            if lookup is not None:
+                mds = MetadataCluster(1, lookup_latency=lookup, per_region_latency=0.0)
+            pfs = HybridPFS.build(sim, 2, 1, seed=0, mds=mds, **build)
             if integrity:
                 pfs.enable_integrity()
             handle = pfs.create_file("f", layout)
@@ -358,7 +362,15 @@ class TestColumnarTier:
                 "now": sim.now,
                 "busy": sorted(pfs.server_busy_times().items()),
                 "nic_busy": [s.nic.monitor.busy_time for s in pfs.servers],
+                "granted": [(s.nic.granted_count, s.disk.granted_count) for s in pfs.servers],
                 "rng": [s.device.rng.bit_generator.state for s in pfs.servers],
+                "device": [
+                    (
+                        getattr(s.device, "_head_position", None),
+                        getattr(s.device, "_bytes_since_gc", None),
+                    )
+                    for s in pfs.servers
+                ],
                 "tags": [
                     None if s.checksums is None else dict(s.checksums._tags)
                     for s in pfs.servers
@@ -414,16 +426,59 @@ class TestColumnarTier:
         stats = self._run_pair(layout, self._aligned_batch(), integrity=True)
         assert stats["fast_columnar_batches"] == 1
 
-    def test_uneven_batch_uses_event_heap_not_general(self):
-        """Varying sub-request sizes on a multi-slot NIC bail out of the
-        columnar tier — to the event-heap replay, never the general path."""
+    @pytest.mark.parametrize("op_read", [False, True])
+    def test_uneven_batch_runs_columnar(self, op_read):
+        """Varying sub-request sizes on a multi-slot NIC (per-job transfer
+        times) replay on the columnar tier's slot kernel."""
         rng = np.random.default_rng(3)
         batch = RequestBatch(
             offsets=rng.integers(0, 4 * 1024 * 1024, 48).astype(np.int64),
             sizes=rng.integers(1, 256 * KiB, 48).astype(np.int64),
-            is_read=np.zeros(48, dtype=bool),
+            is_read=np.full(48, op_read, dtype=bool),
         )
         stats = self._run_pair(FixedLayout(2, 1, 64 * KiB), batch)
+        assert stats["fast_columnar_batches"] == 1
+
+    @pytest.mark.parametrize("nic_parallelism", [2, 4, 8])
+    @pytest.mark.parametrize("op_read", [False, True])
+    def test_uneven_simultaneous_nic_departures(self, nic_parallelism, op_read):
+        """A zero-cost MDS spawns the whole burst at t=0 and a dyadic network
+        makes uneven transfers end on the same instants: simultaneous NIC
+        departures regrant waiters, and writes reach the disk in departure
+        order with ties kept in feed order."""
+        rng = np.random.default_rng(nic_parallelism)
+        n = 64
+        batch = RequestBatch(
+            offsets=np.arange(n, dtype=np.int64) * 64 * KiB,
+            sizes=rng.choice([16, 32, 48, 64], n).astype(np.int64) * KiB,
+            is_read=np.full(n, op_read, dtype=bool),
+        )
+        stats = self._run_pair(
+            FixedLayout(2, 1, 64 * KiB),
+            batch,
+            network=NetworkModel(unit_time=2.0**-24, latency=2.0**-13),
+            nic_parallelism=nic_parallelism,
+            lookup=0.0,
+        )
+        assert stats["fast_columnar_batches"] == 1
+
+    def test_feed_on_nic_departure_uses_event_heap_not_general(self):
+        """A dyadic MDS lookup and network land sub-request spawns exactly on
+        NIC departure instants of uneven transfers. That tie resolves by
+        event sequence numbers, so the columnar tier bails — to the
+        event-heap replay, never the general path."""
+        n = 48
+        batch = RequestBatch(
+            offsets=np.arange(n, dtype=np.int64) * 192 * KiB,
+            sizes=np.resize(np.array([16, 48, 32], dtype=np.int64) * KiB, n),
+            is_read=np.zeros(n, dtype=bool),
+        )
+        stats = self._run_pair(
+            FixedLayout(2, 1, 64 * KiB),
+            batch,
+            network=NetworkModel(unit_time=2.0**-27, latency=2.0**-13),
+            lookup=2.0**-13,
+        )
         assert stats["fast_columnar_batches"] == 0
 
     def test_mixed_op_batch_uses_event_heap(self):

@@ -18,6 +18,7 @@ edge cases, this file covers the combinatorial middle.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -187,13 +188,16 @@ def _scenarios(draw):
     shards = draw(st.sampled_from((1, 2, 4)))
     routing = draw(st.sampled_from(("finger", "linear")))
     cache = draw(st.booleans())
-    return batch, layout, integrity, shards, routing, cache
+    nic = draw(st.sampled_from((1, 2, 4, 8)))
+    return batch, layout, integrity, shards, routing, cache, nic
 
 
-def _run(batch, layout, integrity, shards, routing, cache, force_general):
+def _run(batch, layout, integrity, shards, routing, cache, nic, force_general):
     sim = Simulator()
     mds = MetadataCluster(shards, routing=routing, seed=0)
-    pfs = HybridPFS.build(sim, 2, 1, seed=0, mds=mds, mds_cache=cache)
+    pfs = HybridPFS.build(
+        sim, 2, 1, seed=0, mds=mds, mds_cache=cache, nic_parallelism=nic
+    )
     if integrity:
         pfs.enable_integrity()
     handle = pfs.create_file("f", layout)
@@ -232,18 +236,46 @@ _TIE_BAILS = {"mds-fill-tie", "mds-entry-tie"}
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_batched_replay_matches_general_path(scenario):
-    batch, layout, integrity, shards, routing, cache = scenario
-    fast, fast_stats, fast_falls = _run(
-        batch, layout, integrity, shards, routing, cache, force_general=False
-    )
-    general, general_stats, _ = _run(
-        batch, layout, integrity, shards, routing, cache, force_general=True
-    )
+    batch, _, _, shards, _, cache, _ = scenario
+    fast, fast_stats, fast_falls = _run(*scenario, force_general=False)
+    general, general_stats, _ = _run(*scenario, force_general=True)
     if batch.issue_times is not None and (shards or cache):
         assert fast_stats["fast_batches"] == 1 or set(fast_falls) <= _TIE_BAILS
     else:
         assert fast_stats["fast_batches"] == 1
     assert general_stats["general_batches"] == 1
+    np.testing.assert_array_equal(fast["elapsed"], general["elapsed"])
+    del fast["elapsed"], general["elapsed"]
+    assert fast == general
+
+
+@pytest.mark.parametrize("nic", [1, 2, 4, 8])
+@pytest.mark.parametrize("op", [OpType.WRITE, OpType.READ])
+def test_uneven_single_op_batch_runs_columnar(op, nic):
+    """Region-level striping with h != s gives each server sub-requests of
+    several sizes; single-op batches of that shape replay on the columnar
+    tier at every NIC width, bit-identical to the general path."""
+    workload = SyntheticRegionWorkload(
+        [RegionSpec(size=960 * KiB, request_size=96 * KiB),
+         RegionSpec(size=1000 * KiB, request_size=40 * KiB)],
+        n_processes=4,
+        op=op,
+        seed=1,
+    )
+    batch = workload.request_batch()
+    rst = RegionStripeTable(
+        [
+            RSTEntry(region_id=0, offset=0, end=1024 * 1024,
+                     config=StripingConfig(2, 1, 16 * KiB, 64 * KiB)),
+            RSTEntry(region_id=1, offset=1024 * 1024, end=None,
+                     config=StripingConfig(2, 1, 8 * KiB, 24 * KiB)),
+        ]
+    )
+    scenario = (batch, RegionLevelLayout(rst), False, 1, "finger", False, nic)
+    fast, fast_stats, fast_falls = _run(*scenario, force_general=False)
+    general, _, _ = _run(*scenario, force_general=True)
+    assert fast_falls == {}
+    assert fast_stats["fast_columnar_batches"] == 1
     np.testing.assert_array_equal(fast["elapsed"], general["elapsed"])
     del fast["elapsed"], general["elapsed"]
     assert fast == general

@@ -154,6 +154,70 @@ class TestRebuildRestoresRedundancy:
         assert result.durability is None
 
 
+class TestCorruptRebuildSource:
+    """A poisoned source copy must not abort the rebuild worker: it falls
+    back to the next live clean copy, and counts a loss only when no copy
+    of a chunk verifies."""
+
+    TESTBED = Testbed(n_hservers=4, n_sservers=2, seed=0)
+    # sserver0 (the first live copy of hserver0's columns) is fully poisoned
+    # just before hserver0 crashes.
+    ONE_POISONED = "corrupt:sserver0@0.004%1.0;crash:hserver0@0.0045"
+    ALL_POISONED = (
+        "corrupt:sserver0@0.004%1.0;corrupt:sserver1@0.004%1.0;"
+        "corrupt:hserver1@0.004%1.0;corrupt:hserver2@0.004%1.0;"
+        "corrupt:hserver3@0.004%1.0;crash:hserver0@0.0045"
+    )
+
+    def _run(self, spec, replicas, fail_on_loss=False):
+        return run_workload(
+            self.TESTBED,
+            WORKLOAD,
+            FixedLayout(4, 2, 64 * KiB, replicas=replicas),
+            faults=parse_faults(spec),
+            retry=RETRY,
+            rebuild=RebuildConfig(fail_on_loss=fail_on_loss),
+        )
+
+    def test_falls_back_to_the_clean_third_copy(self):
+        result = self._run(self.ONE_POISONED, replicas=3)
+        stats = result.durability
+        assert stats.data_loss_events == 0
+        assert stats.placements_rebuilt > 0
+        assert stats.fully_redundant
+        integrity = result.integrity
+        assert integrity.mismatches > 0  # the poisoned source was read
+        assert integrity.unrepairable == integrity.mismatches
+        assert integrity.silent_corruptions == 0
+
+    def test_no_clean_copy_is_a_counted_loss(self):
+        result = self._run(self.ALL_POISONED, replicas=2)
+        stats = result.durability
+        assert stats.data_loss_events > 0
+        assert stats.data_lost_bytes > 0
+        assert not stats.fully_redundant
+        assert result.integrity.silent_corruptions == 0
+
+    def test_no_clean_copy_raises_typed_loss_under_fail_on_loss(self):
+        with pytest.raises(DataLossError, match="failed verification"):
+            self._run(self.ALL_POISONED, replicas=2, fail_on_loss=True)
+
+    def test_run_ior_reproducer_exits_zero(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            [
+                "run-ior", "--hservers", "4", "--sservers", "2",
+                "--processes", "4", "--file-size", "2M", "--request-size", "64K",
+                "--replicas", "3", "--rebuild", "--faults", self.ONE_POISONED,
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "1 placements rebuilt" in out
+        assert " 0 silent" in out
+
+
 class TestRejoinBackfill:
     def _write_replicated(self, sim, pfs):
         handle = pfs.create_file("f", FixedLayout(2, 2, 64 * KiB, replicas=2))
