@@ -556,6 +556,41 @@ def test_perf_harl_uneven_columnar_replay(benchmark):
         assert benchmark.stats.stats.mean <= baseline * 2.0
 
 
+def test_perf_harl_plan_fig11(benchmark):
+    """Cold HARL Analysis Phase on Fig. 11's four regions at the 4 KiB step.
+
+    Both ops of the four-region workload are planned with the stripe cache
+    cleared each round, so every round runs Algorithm 2's full grid search
+    through the server-loop cost kernel.
+    """
+    from repro.core.planner import HARLPlanner
+    from repro.workloads.synthetic import RegionSpec, SyntheticRegionWorkload
+    from repro.workloads.traces import trace_arrays
+
+    regions = [
+        RegionSpec(size, request, coverage=0.25)
+        for size, request in (
+            (256 * MiB, 64 * KiB),
+            (1024 * MiB, 1024 * KiB),
+            (2048 * MiB, 256 * KiB),
+            (4096 * MiB, 512 * KiB),
+        )
+    ]
+    traces = [
+        trace_arrays(SyntheticRegionWorkload(regions, n_processes=16, op=op).synthetic_trace())
+        for op in ("write", "read")
+    ]
+    planner = HARLPlanner(PARAMS, step=4 * KiB, max_requests_per_region=256)
+
+    def run():
+        clear_stripe_cache()
+        return [planner.plan_from_arrays(*arrays) for arrays in traces]
+
+    tables = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    assert all(len(table) >= 1 for table in tables)
+    assert stripe_cache_info()["hits"] == 0
+
+
 def test_perf_schedule_many(benchmark):
     """Bulk event insertion vs one million timeout events.
 

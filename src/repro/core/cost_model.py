@@ -29,19 +29,23 @@ Three entry points:
 - :func:`request_cost_breakdown` — scalar with the (T_X, T_S, T_T) split.
 - :func:`total_cost_vectorized` — summed cost of a request batch for a
   whole vector of candidate ``s`` values at fixed ``h``; this is Algorithm
-  2's inner loop and is fully vectorized over (candidates × requests ×
-  servers).
+  2's inner loop. It works on (candidates × requests) arrays and loops
+  over each class's servers
+  (:func:`repro.pfs.mapping.class_critical_params`), sharing one summing
+  routine with :func:`repro.core.multiclass.multiclass_total_cost`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.params import CostModelParameters
 from repro.devices.base import OpType
-from repro.pfs.mapping import StripingConfig, critical_params
+from repro.devices.profiles import DeviceProfile
+from repro.pfs.mapping import StripingConfig, class_critical_params, critical_params
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,65 @@ def request_cost(
     return request_cost_breakdown(params, op, offset, size, hstripe, sstripe).total
 
 
+def _summed_cost(
+    classes: Sequence[tuple[int, DeviceProfile]],
+    unit_network_time: float,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
+    is_read: np.ndarray,
+    stripe_matrix: np.ndarray,
+) -> np.ndarray:
+    """Summed request-batch cost for every row of a stripe matrix.
+
+    ``classes`` lists (server count, profile) per class in round order;
+    counts may be 0. ``stripe_matrix`` is ``(n_cand, K)`` with every row
+    distributing some data. Both public cost routines reduce to this one.
+    """
+    n_cand = stripe_matrix.shape[0]
+    if offsets.shape[0] == 0:
+        return np.zeros(n_cand, dtype=np.float64)
+    counts = np.array([count for count, _ in classes], dtype=np.int64)
+    S = (stripe_matrix @ counts)[:, None]  # (n_cand, 1)
+    # One divmod per request end, shared by every class: (n_cand, k).
+    qx, rx = np.divmod(offsets, S)
+    qy, ry = np.divmod(offsets + sizes, S)
+    # Class window starts: prefix sums of count_i · stripe_i.
+    bases = np.zeros_like(stripe_matrix)
+    np.cumsum(stripe_matrix[:, :-1] * counts[:-1], axis=1, out=bases[:, 1:])
+    per_class = [
+        class_critical_params(
+            qx, rx, qy, ry, bases[:, i : i + 1], stripe_matrix[:, i : i + 1], count
+        )
+        for i, (count, _) in enumerate(classes)
+    ]
+    network = per_class[0][0]
+    for largest, _ in per_class[1:]:
+        network = np.maximum(network, largest)
+    network = network * unit_network_time
+
+    total = np.zeros(n_cand, dtype=np.float64)
+    for op in (OpType.READ, OpType.WRITE):
+        mask = is_read if op is OpType.READ else ~is_read
+        if not mask.any():
+            continue
+        # Every term is >= 0, so maxima started at 0 equal maxima over the
+        # classes alone.
+        startup = transfer = 0.0
+        for (count, profile), (largest, touched) in zip(classes, per_class):
+            # Eq. (3)/(4) tabulated over touched counts 0..K and looked up
+            # per request; the table holds the per-request float expression.
+            lo, hi = profile.alpha_bounds(op)
+            c = np.arange(count + 1, dtype=np.float64)
+            table = np.where(c > 0, lo + (c / (c + 1.0)) * (hi - lo), 0.0)
+            startup = np.maximum(startup, table[touched])
+            transfer = np.maximum(transfer, largest * profile.beta(op))
+        # x[:, mask] is F-ordered, so the sum runs over requests one by one
+        # per candidate; keep that operand (even for single-op batches) or
+        # the pairwise order moves results by an ulp.
+        total += (network + startup + transfer)[:, mask].sum(axis=1)
+    return total
+
+
 def total_cost_vectorized(
     params: CostModelParameters,
     offsets: np.ndarray,
@@ -146,70 +209,14 @@ def total_cost_vectorized(
     h = int(hstripe)
     if h < 0 or np.any(s_candidates < 0):
         raise ValueError("stripe sizes must be >= 0")
-    S = M * h + N * s_candidates  # (n_cand,)
-    if np.any(S <= 0):
+    if np.any(M * h + N * s_candidates <= 0):
         raise ValueError("every candidate must satisfy M*h + N*s > 0")
-
-    n_cand = s_candidates.shape[0]
-    k = offsets.shape[0]
-    if k == 0:
-        return np.zeros(n_cand, dtype=np.float64)
-
-    ends = offsets + sizes  # (k,)
-    S3 = S[:, None, None]  # (n_cand, 1, 1)
-
-    # In-round windows: HServers at i*h (width h), SServers at M*h + j*s
-    # (width s, s varies per candidate).
-    h_starts = (np.arange(M, dtype=np.int64) * h)[None, None, :] if M else None
-    if N:
-        j = np.arange(N, dtype=np.int64)[None, None, :]
-        s_starts = M * h + j * s_candidates[:, None, None]  # (n_cand, 1, N)
-
-    def bytes_below(x: np.ndarray, starts: np.ndarray, width: np.ndarray) -> np.ndarray:
-        # F(x) = floor(x/S)*w + clip(x%S - a, 0, w), broadcast over
-        # (n_cand, k, n_class_servers).
-        x3 = x[None, :, None]
-        full, rem = np.divmod(x3, S3)
-        return full * width + np.clip(rem - starts, 0, width)
-
-    if M and h > 0:
-        h_bytes = bytes_below(ends, h_starts, h) - bytes_below(offsets, h_starts, h)
-        s_m = h_bytes.max(axis=2)  # (n_cand, k)
-        m = (h_bytes > 0).sum(axis=2)
-    else:
-        s_m = np.zeros((n_cand, k), dtype=np.int64)
-        m = np.zeros((n_cand, k), dtype=np.int64)
-    if N:
-        width = s_candidates[:, None, None]
-        s_bytes = bytes_below(ends, s_starts, width) - bytes_below(offsets, s_starts, width)
-        s_n = s_bytes.max(axis=2)
-        n = (s_bytes > 0).sum(axis=2)
-    else:
-        s_n = np.zeros((n_cand, k), dtype=np.int64)
-        n = np.zeros((n_cand, k), dtype=np.int64)
-
-    t = params.unit_network_time
-    network = np.maximum(s_m, s_n) * t
-
-    def startup_term(lo: float, hi: float, count: np.ndarray) -> np.ndarray:
-        c = count.astype(np.float64)
-        return np.where(count > 0, lo + (c / (c + 1.0)) * (hi - lo), 0.0)
-
-    total = np.zeros(n_cand, dtype=np.float64)
-    for reading in (True, False):
-        mask = is_read if reading else ~is_read
-        if not mask.any():
-            continue
-        op = OpType.READ if reading else OpType.WRITE
-        h_lo, h_hi = params.hserver.alpha_bounds(op)
-        s_lo, s_hi = params.sserver.alpha_bounds(op)
-        startup = np.maximum(
-            startup_term(h_lo, h_hi, m[:, mask]),
-            startup_term(s_lo, s_hi, n[:, mask]),
-        )
-        transfer = np.maximum(
-            s_m[:, mask] * params.hserver.beta(op),
-            s_n[:, mask] * params.sserver.beta(op),
-        )
-        total += (network[:, mask] + startup + transfer).sum(axis=1)
-    return total
+    stripe_matrix = np.column_stack([np.full_like(s_candidates, h), s_candidates])
+    return _summed_cost(
+        ((M, params.hserver), (N, params.sserver)),
+        params.unit_network_time,
+        offsets,
+        sizes,
+        is_read,
+        stripe_matrix,
+    )

@@ -14,10 +14,11 @@ of class-i servers touched.
 Exhaustively grid-searching K stripe sizes is O((R̄/step)^K); instead
 :func:`determine_stripes_multiclass` runs **coordinate descent**: start from
 a bandwidth-proportional allocation, then repeatedly re-optimize one class's
-stripe with all others held fixed (each 1-D scan fully vectorized over
-candidates × requests × servers). Each sweep can only lower the modeled
-cost, so the search terminates; for K = 2 the result is verified against
-the exhaustive Algorithm 2 in the test suite.
+stripe with all others held fixed (each 1-D scan evaluates every candidate
+against every request at once, looping over each class's servers). Each
+sweep can only lower the modeled cost, so the search terminates; for K = 2
+the result is verified against the exhaustive Algorithm 2 in the test
+suite.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.cost_model import _summed_cost
 from repro.devices.base import OpType
 from repro.devices.profiles import DeviceProfile
 from repro.pfs.tiered import ClassStripe, MultiClassStripingConfig
@@ -111,7 +113,9 @@ def multiclass_total_cost(
 
     Returns:
         float64 array ``(n_cand,)`` of total costs — the coordinate-descent
-        inner loop, vectorized over (candidates × requests × servers).
+        inner loop. It shares its summing routine with the two-class
+        :func:`~repro.core.cost_model.total_cost_vectorized`, so a K = 2
+        call returns bit-equal costs.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -123,59 +127,16 @@ def multiclass_total_cost(
         )
     if np.any(stripe_matrix < 0):
         raise ValueError("stripe sizes must be >= 0")
-    counts = np.array(params.class_counts, dtype=np.int64)
-    S = stripe_matrix @ counts  # (n_cand,)
-    if np.any(S <= 0):
+    if np.any(stripe_matrix @ np.array(params.class_counts, dtype=np.int64) <= 0):
         raise ValueError("every candidate must distribute some data")
-
-    n_cand = stripe_matrix.shape[0]
-    k = offsets.shape[0]
-    if k == 0:
-        return np.zeros(n_cand, dtype=np.float64)
-    ends = offsets + sizes
-    S3 = S[:, None, None]
-
-    # Class window starts: prefix sums of count_j * stripe_j.
-    class_bases = np.zeros((n_cand, params.n_classes), dtype=np.int64)
-    np.cumsum(stripe_matrix[:, :-1] * counts[:-1], axis=1, out=class_bases[:, 1:])
-
-    s_max = np.zeros((params.n_classes, n_cand, k), dtype=np.int64)
-    m_cnt = np.zeros((params.n_classes, n_cand, k), dtype=np.int64)
-    for class_index, count in enumerate(params.class_counts):
-        width = stripe_matrix[:, class_index][:, None, None]  # (n_cand,1,1)
-        j = np.arange(count, dtype=np.int64)[None, None, :]
-        starts = class_bases[:, class_index][:, None, None] + j * width
-
-        def bytes_below(x: np.ndarray) -> np.ndarray:
-            x3 = x[None, :, None]
-            full, rem = np.divmod(x3, S3)
-            return full * width + np.clip(rem - starts, 0, width)
-
-        per_server = bytes_below(ends) - bytes_below(offsets)  # (n_cand, k, count)
-        s_max[class_index] = per_server.max(axis=2)
-        m_cnt[class_index] = (per_server > 0).sum(axis=2)
-
-    t = params.unit_network_time
-    network = s_max.max(axis=0) * t  # (n_cand, k)
-
-    total = np.zeros(n_cand, dtype=np.float64)
-    for reading in (True, False):
-        mask = is_read if reading else ~is_read
-        if not mask.any():
-            continue
-        op = OpType.READ if reading else OpType.WRITE
-        startup = np.zeros((n_cand, int(mask.sum())), dtype=np.float64)
-        transfer = np.zeros_like(startup)
-        for class_index, tier in enumerate(params.tiers):
-            lo, hi = tier.profile.alpha_bounds(op)
-            m = m_cnt[class_index][:, mask].astype(np.float64)
-            class_startup = np.where(m > 0, lo + (m / (m + 1.0)) * (hi - lo), 0.0)
-            startup = np.maximum(startup, class_startup)
-            transfer = np.maximum(
-                transfer, s_max[class_index][:, mask] * tier.profile.beta(op)
-            )
-        total += (network[:, mask] + startup + transfer).sum(axis=1)
-    return total
+    return _summed_cost(
+        [(tier.count, tier.profile) for tier in params.tiers],
+        params.unit_network_time,
+        offsets,
+        sizes,
+        is_read,
+        stripe_matrix,
+    )
 
 
 @dataclass(frozen=True)

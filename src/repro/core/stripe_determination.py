@@ -14,8 +14,9 @@ covers the SServer-only extreme (the Fig. 9 optimum for small requests);
 
 Our implementation is exhaustive over the same grid but vectorized: for each
 ``h`` the costs of *all* ``s`` candidates against *all* region requests are
-computed in one numpy pass (:func:`repro.core.cost_model.total_cost_vectorized`),
-turning the paper's triple loop into ``#h`` array operations. Regions with
+computed in one call (:func:`repro.core.cost_model.total_cost_vectorized`) on
+(candidates × requests) arrays, looping only over each class's few servers.
+That turns the paper's triple loop into ``#h`` calls. Regions with
 very many requests are down-sampled to ``max_requests`` deterministic
 samples; the cost sum is rescaled, which preserves the argmin for
 homogeneous regions (and regions are CV-homogeneous by construction).

@@ -350,6 +350,54 @@ def critical_params(config: StripingConfig, offset: int, size: int) -> CriticalP
     return CriticalParams(s_m=s_m, s_n=s_n, m=m, n=n)
 
 
+def class_critical_params(
+    qx: np.ndarray,
+    rx: np.ndarray,
+    qy: np.ndarray,
+    ry: np.ndarray,
+    base: int | np.ndarray,
+    width: int | np.ndarray,
+    count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest sub-request and servers touched, per request, for one class.
+
+    Requests ``[x, y)`` arrive split by the round size once,
+    ``x = qx·S + rx`` and ``y = qy·S + ry``, so every class shares that
+    ``divmod``. The class holds ``count`` servers of window width ``width``;
+    server ``j``'s window starts at ``a_j = base + j·width`` and it receives
+    ``F(y) − F(x) = (qy − qx)·w + clip(ry − a_j, 0, w) − clip(rx − a_j, 0, w)``
+    bytes. The loop runs over the class's servers and keeps a running max
+    and a running count on request-shaped arrays: a short server axis as
+    the innermost numpy axis costs more than the arithmetic.
+
+    All arguments broadcast together; ``base`` and ``width`` may be scalars
+    or per-candidate columns. Returns ``(largest, touched)`` int64 arrays.
+    A class with no servers or zero width touches nothing.
+    """
+    shape = np.broadcast_shapes(np.shape(qx), np.shape(base), np.shape(width))
+    largest = np.zeros(shape, dtype=np.int64)
+    if count == 0 or not np.any(width):
+        return largest, np.zeros(shape, dtype=np.int64)
+    # A byte-wide running count adds each server's hit mask without a cast.
+    touched = np.zeros(shape, dtype=np.int8 if count < 128 else np.int64)
+    rounds = (qy - qx) * width
+    high = np.empty(shape, dtype=np.int64)
+    low = np.empty(shape, dtype=np.int64)
+    hit = np.empty(shape, dtype=bool)
+    start = base
+    for _ in range(count):
+        # clip(r − a, 0, w) = min(max(r, a), a + w) − a; the − a cancels.
+        end = start + width
+        np.minimum(np.maximum(ry, start, out=high), end, out=high)
+        np.minimum(np.maximum(rx, start, out=low), end, out=low)
+        high -= low
+        high += rounds
+        np.maximum(largest, high, out=largest)
+        touched += np.greater(high, 0, out=hit).view(np.int8)
+        start = end
+    return largest, touched.astype(np.int64)
+
+
 def critical_params_vectorized(
     config: StripingConfig,
     offsets: np.ndarray,
@@ -362,9 +410,8 @@ def critical_params_vectorized(
         offsets, sizes: integer arrays of equal length (bytes).
 
     Returns:
-        ``(s_m, s_n, m, n)`` int64 arrays, one entry per request. This is the
-        inner loop of Algorithm 2's grid search: one call per (h, s) pair
-        evaluates every request of a region at numpy speed.
+        ``(s_m, s_n, m, n)`` int64 arrays, one entry per request, from one
+        :func:`class_critical_params` call per server class.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -373,30 +420,12 @@ def critical_params_vectorized(
     if np.any(offsets < 0) or np.any(sizes < 0):
         raise ValueError("offsets and sizes must be >= 0")
     S = config.round_size
-    n_req = offsets.shape[0]
-    ends = offsets + sizes
-
-    windows = np.array(
-        [config.server_window(i) for i in range(config.n_servers)], dtype=np.int64
-    )  # (n_servers, 2)
-    a = windows[:, 0][None, :]  # (1, n_servers)
-    w = (windows[:, 1] - windows[:, 0])[None, :]
-
-    def batched_f(x: np.ndarray) -> np.ndarray:
-        x = x[:, None]  # (n_req, 1)
-        full, rem = np.divmod(x, S)
-        return full * w + np.clip(rem - a, 0, w)
-
-    bytes_per_server = batched_f(ends) - batched_f(offsets)  # (n_req, n_servers)
-
-    M = config.n_hservers
-    h_bytes = bytes_per_server[:, :M]
-    s_bytes = bytes_per_server[:, M:]
-    s_m = h_bytes.max(axis=1) if M > 0 else np.zeros(n_req, dtype=np.int64)
-    s_n = s_bytes.max(axis=1) if config.n_sservers > 0 else np.zeros(n_req, dtype=np.int64)
-    m = (h_bytes > 0).sum(axis=1) if M > 0 else np.zeros(n_req, dtype=np.int64)
-    n = (s_bytes > 0).sum(axis=1) if config.n_sservers > 0 else np.zeros(n_req, dtype=np.int64)
-    return s_m, s_n, m.astype(np.int64), n.astype(np.int64)
+    qx, rx = np.divmod(offsets, S)
+    qy, ry = np.divmod(offsets + sizes, S)
+    M, h = config.n_hservers, config.hstripe
+    s_m, m = class_critical_params(qx, rx, qy, ry, 0, h, M)
+    s_n, n = class_critical_params(qx, rx, qy, ry, M * h, config.sstripe, config.n_sservers)
+    return s_m, s_n, m, n
 
 
 def paper_case_a_params(config: StripingConfig, offset: int, size: int) -> CriticalParams:

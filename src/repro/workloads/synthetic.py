@@ -93,25 +93,31 @@ class SyntheticRegionWorkload:
             cursor += region.size
         return bases
 
-    def _all_slots(self) -> list[tuple[int, int]]:
-        """Every sampled (offset, size) request, region order."""
-        out: list[tuple[int, int]] = []
+    def _all_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every sampled request as (offsets, sizes) int64 columns, region order."""
+        offsets = []
+        sizes = []
         for base, region in zip(self.region_bases(), self.regions):
             slots = np.linspace(0, region.n_slots - 1, region.n_requests)
             slots = np.unique(slots.round().astype(np.int64))
-            out.extend(
-                (int(base + slot * region.request_size), region.request_size) for slot in slots
-            )
-        return out
+            offsets.append(base + slots * region.request_size)
+            sizes.append(np.full(slots.shape[0], region.request_size, dtype=np.int64))
+        return np.concatenate(offsets), np.concatenate(sizes)
+
+    def _rank_share(
+        self, offsets: np.ndarray, sizes: np.ndarray, rank: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One rank's round-robin share of the slot columns, shuffled."""
+        mine_offsets = offsets[rank :: self.n_processes]
+        order = derive_rng(self.seed, "synthetic", rank).permutation(mine_offsets.shape[0])
+        return mine_offsets[order], sizes[rank :: self.n_processes][order]
 
     def rank_requests(self, rank: int) -> list[tuple[OpType, int, int]]:
         """Round-robin share of the slots, shuffled per rank."""
         if not (0 <= rank < self.n_processes):
             raise ValueError(f"rank {rank} out of range 0..{self.n_processes - 1}")
-        mine = self._all_slots()[rank :: self.n_processes]
-        rng = derive_rng(self.seed, "synthetic", rank)
-        order = rng.permutation(len(mine))
-        return [(self.op, mine[i][0], mine[i][1]) for i in order]
+        offsets, sizes = self._rank_share(*self._all_slots(), rank)
+        return [(self.op, offset, size) for offset, size in zip(offsets.tolist(), sizes.tolist())]
 
     def request_batch(self) -> RequestBatch:
         """All ranks' streams as one columnar batch, rank-major.
@@ -120,35 +126,29 @@ class SyntheticRegionWorkload:
         :meth:`rank_requests`, applied as index permutations over numpy
         columns instead of list rebuilds.
         """
-        slots = self._all_slots()
-        n = len(slots)
-        all_offsets = np.fromiter((o for o, _ in slots), dtype=np.int64, count=n)
-        all_sizes = np.fromiter((s for _, s in slots), dtype=np.int64, count=n)
-        offset_parts = []
-        size_parts = []
-        for rank in range(self.n_processes):
-            mine_offsets = all_offsets[rank :: self.n_processes]
-            mine_sizes = all_sizes[rank :: self.n_processes]
-            order = derive_rng(self.seed, "synthetic", rank).permutation(mine_offsets.shape[0])
-            offset_parts.append(mine_offsets[order])
-            size_parts.append(mine_sizes[order])
-        offsets = np.concatenate(offset_parts)
+        all_offsets, all_sizes = self._all_slots()
+        shares = [
+            self._rank_share(all_offsets, all_sizes, rank) for rank in range(self.n_processes)
+        ]
+        offsets = np.concatenate([offsets for offsets, _ in shares])
         return RequestBatch(
             offsets=offsets,
-            sizes=np.concatenate(size_parts),
+            sizes=np.concatenate([sizes for _, sizes in shares]),
             is_read=np.full(offsets.shape[0], self.op is OpType.READ, dtype=bool),
         )
 
     def synthetic_trace(self) -> list[TraceRecord]:
         """Offset-sorted trace over all ranks."""
+        all_offsets, all_sizes = self._all_slots()
         records = []
         for rank in range(self.n_processes):
-            for op, offset, size in self.rank_requests(rank):
-                records.append(
-                    TraceRecord(
-                        pid=1, rank=rank, fd=3, op=op, offset=offset, size=size, timestamp=0.0
-                    )
+            offsets, sizes = self._rank_share(all_offsets, all_sizes, rank)
+            records.extend(
+                TraceRecord(
+                    pid=1, rank=rank, fd=3, op=self.op, offset=offset, size=size, timestamp=0.0
                 )
+                for offset, size in zip(offsets.tolist(), sizes.tolist())
+            )
         return sort_trace(records)
 
     def rank_program(self, mf: MPIIOFile) -> Callable[[RankContext], Generator]:

@@ -85,7 +85,7 @@ class TestCostAgainstTwoClass:
         expected = total_cost_vectorized(params, offsets, sizes, is_read, 16 * KiB, s_values)
         matrix = np.column_stack([np.full(2, 16 * KiB, dtype=np.int64), s_values])
         got = multiclass_total_cost(two_tier_params, offsets, sizes, is_read, matrix)
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        assert np.array_equal(got, expected)
 
     def test_vectorized_matches_scalar_three_tier(self, three_tier_params):
         rng = np.random.default_rng(6)

@@ -1,10 +1,13 @@
 """Unit tests for the non-uniform multi-region workload generator."""
 
+import numpy as np
 import pytest
 
 from repro.devices.base import OpType
+from repro.util.rng import derive_rng
 from repro.util.units import KiB, MiB
 from repro.workloads.synthetic import RegionSpec, SyntheticRegionWorkload
+from repro.workloads.traces import TraceRecord, sort_trace
 
 
 class TestRegionSpec:
@@ -99,3 +102,49 @@ class TestSyntheticRegionWorkload:
             regions=[RegionSpec(size=8 * MiB, request_size=64 * KiB, coverage=0.25)]
         )
         assert half.total_bytes < full.total_bytes
+
+
+def _reference_rank_requests(workload, rank):
+    """Per-rank stream built the slow way: every slot as a tuple, per rank."""
+    slots = []
+    for base, region in zip(workload.region_bases(), workload.regions):
+        picks = np.linspace(0, region.n_slots - 1, region.n_requests)
+        picks = np.unique(picks.round().astype(np.int64))
+        slots.extend((int(base + slot * region.request_size), region.request_size) for slot in picks)
+    mine = slots[rank :: workload.n_processes]
+    order = derive_rng(workload.seed, "synthetic", rank).permutation(len(mine))
+    return [(workload.op, mine[i][0], mine[i][1]) for i in order]
+
+
+class TestSlotsBuiltOnce:
+    """Sharing one slot list across ranks leaves every output unchanged."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("op", ["write", "read"])
+    def test_matches_per_rank_reference(self, seed, op):
+        workload = paper_like_workload(
+            regions=[
+                RegionSpec(size=2 * MiB, request_size=64 * KiB, coverage=0.7),
+                RegionSpec(size=8 * MiB, request_size=1024 * KiB),
+                RegionSpec(size=12 * MiB, request_size=256 * KiB, coverage=0.3),
+            ],
+            n_processes=5,
+            op=op,
+            seed=seed,
+        )
+        streams = [_reference_rank_requests(workload, rank) for rank in range(5)]
+        for rank, stream in enumerate(streams):
+            got = workload.rank_requests(rank)
+            assert got == stream
+            assert all(type(offset) is int and type(size) is int for _, offset, size in got)
+        records = sort_trace(
+            TraceRecord(pid=1, rank=rank, fd=3, op=o, offset=offset, size=size, timestamp=0.0)
+            for rank, stream in enumerate(streams)
+            for o, offset, size in stream
+        )
+        assert workload.synthetic_trace() == records
+        batch = workload.request_batch()
+        flat = [(offset, size) for stream in streams for _, offset, size in stream]
+        assert batch.offsets.tolist() == [offset for offset, _ in flat]
+        assert batch.sizes.tolist() == [size for _, size in flat]
+        assert batch.is_read.tolist() == [op == "read"] * len(flat)
