@@ -27,7 +27,7 @@ from repro.pfs.mapping import (
     StripingConfig,
     critical_params_vectorized,
     decompose,
-    decompose_batch,
+    decompose_batch_flat,
 )
 from repro.simulate.engine import Simulator
 from repro.simulate.resources import Resource
@@ -389,14 +389,14 @@ def test_perf_algorithm2_inner_loop(benchmark):
 
 
 def test_perf_decompose_batch(benchmark):
-    """Batched numpy decomposition of the same 2000 requests as the scalar bench."""
+    """Flat-column numpy decomposition of the same 2000 requests as the scalar bench."""
     config = StripingConfig(6, 2, 36 * KiB, 148 * KiB)
     rng = np.random.default_rng(0)
     offsets = rng.integers(0, 2**30, 2000).astype(np.int64)
     sizes = rng.integers(4 * KiB, 2048 * KiB, 2000).astype(np.int64)
 
     def run():
-        return sum(len(subs) for subs in decompose_batch(config, offsets, sizes))
+        return int(decompose_batch_flat(config, offsets, sizes)[0].shape[0])
 
     total = benchmark(run)
     assert total == sum(

@@ -86,14 +86,14 @@ def multiclass_request_cost(
     )
     per_class = config.critical_params_per_class(offset, size)
     t = params.unit_network_time
-    network = max(crit.s_m for crit in per_class) * t
+    network = max(largest for largest, _ in per_class) * t
     startup = max(
-        tier.profile.expected_startup(op, crit.m)
-        for tier, crit in zip(params.tiers, per_class)
+        tier.profile.expected_startup(op, touched)
+        for tier, (_, touched) in zip(params.tiers, per_class)
     )
     transfer = max(
-        crit.s_m * tier.profile.beta(op)
-        for tier, crit in zip(params.tiers, per_class)
+        largest * tier.profile.beta(op)
+        for tier, (largest, _) in zip(params.tiers, per_class)
     )
     return network + startup + transfer
 

@@ -31,8 +31,7 @@ class RSTEntry:
     ``end`` is exclusive; ``None`` means the region extends to EOF. The
     config is either the paper's two-class :class:`StripingConfig` or the
     multi-tier extension's :class:`~repro.pfs.tiered.MultiClassStripingConfig`
-    — anything exposing ``stripes``, ``class_counts``, ``describe``,
-    ``decompose``, and ``to_dict``.
+    — any :class:`~repro.pfs.mapping.StripingGeometry`.
     """
 
     region_id: int

@@ -34,6 +34,7 @@ from repro.pfs.layout import (
 from repro.pfs.mapping import (
     CriticalParams,
     StripingConfig,
+    StripingGeometry,
     SubRequest,
     critical_params,
     critical_params_vectorized,
@@ -69,6 +70,7 @@ __all__ = [
     "RegionLevelLayout",
     "RequestBatch",
     "StripingConfig",
+    "StripingGeometry",
     "SubRequest",
     "TieredFixedLayout",
     "TieredPFS",

@@ -7,7 +7,7 @@ dominates wall-clock long before the DES arithmetic does. A
 ``offsets``/``sizes`` (int64), ``is_read`` (bool), and optional per-request
 ``issue_times`` (float64 seconds, relative to submission) — so workload
 generators emit columns natively, the striping decomposition runs as one
-vectorized :func:`repro.pfs.mapping.decompose_batch` pass, and
+vectorized :func:`repro.pfs.mapping.decompose_batch_flat` pass, and
 :meth:`repro.pfs.filesystem.PFSFile.request_batch` can drive the batched
 execution fast path without per-request object churn.
 
@@ -48,8 +48,7 @@ class RequestBatch:
         is_read: bool column; False entries are writes.
         issue_times: optional float64 column of per-request issue times in
             seconds **relative to the submission instant** (>= 0). ``None``
-            means every request is issued at the submission instant — the
-            historical ``request_many`` behaviour.
+            means every request is issued at the submission instant.
     """
 
     offsets: np.ndarray

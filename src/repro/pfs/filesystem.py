@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import os
-from collections.abc import Generator, Sequence
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,42 +148,6 @@ class PFSFile:
             self._request_proc(op, offset, size), name=f"{self.name}:{op.value}@{offset}"
         )
 
-    def _presplit(self, requests: Sequence[tuple[int, int]]) -> list[list]:
-        """Striping decomposition of many requests, one numpy pass per config.
-
-        Returns one ``[(segment, subrequests), ...]`` list per request, the
-        shape :meth:`_request_proc` accepts as ``presplit``. The result is a
-        snapshot against the current layout — callers must not ``relayout``
-        between decomposing and serving.
-        """
-        from repro.pfs.mapping import decompose_batch
-
-        layout = self.layout
-        # Group every (request, segment) piece by striping config so each
-        # config's pieces decompose in one vectorized call.
-        per_request_segments: list[list] = []
-        groups: dict = {}  # config -> list of (request_idx, segment_idx, rel_offset, size)
-        for idx, (offset, size) in enumerate(requests):
-            segments = layout.segments(offset, size)
-            per_request_segments.append(segments)
-            for sidx, segment in enumerate(segments):
-                groups.setdefault(segment.config, []).append(
-                    (idx, sidx, segment.offset - segment.region_base, segment.size)
-                )
-        decomposed: dict[tuple[int, int], list] = {}
-        for config, pieces in groups.items():
-            batch = decompose_batch(
-                config,
-                np.array([rel for _, _, rel, _ in pieces], dtype=np.int64),
-                np.array([sz for _, _, _, sz in pieces], dtype=np.int64),
-            )
-            for (idx, sidx, _, _), subs in zip(pieces, batch):
-                decomposed[(idx, sidx)] = subs
-        return [
-            [(segment, decomposed[(idx, sidx)]) for sidx, segment in enumerate(segments)]
-            for idx, segments in enumerate(per_request_segments)
-        ]
-
     def _presplit_flat(self, batch: RequestBatch):
         """Striping decomposition of a batch as flat sub-request columns.
 
@@ -191,9 +155,9 @@ class PFSFile:
         per-request Python lists at all; the layout's region map
         (:meth:`LayoutPolicy.segments_batch`) and the striping decomposition
         (:func:`repro.pfs.mapping.decompose_batch_flat`) both run as
-        vectorized passes. The result is a snapshot against the current
-        layout — callers must not ``relayout`` between decomposing and
-        serving.
+        vectorized passes. The fast path replays the whole batch inside
+        :meth:`request_batch`, so no ``relayout`` can fall between
+        decomposing and serving.
         """
         from repro.pfs.batch_exec import FlatPresplit
         from repro.pfs.mapping import decompose_batch_flat
@@ -237,46 +201,6 @@ class PFSFile:
             region[piece],
         )
 
-    def request_many(
-        self,
-        op: OpType | str,
-        requests: list[tuple[int, int]],
-        issue_times: Sequence[float] | np.ndarray | None = None,
-    ) -> list[Process]:
-        """Submit many ``(offset, size)`` requests at the current instant.
-
-        Equivalent to ``[self.request(op, o, s) for o, s in requests]`` —
-        same sub-requests, same process spawn order, same completion times —
-        but the striping decomposition of every request runs as one batched
-        numpy pass per striping config (:func:`repro.pfs.mapping.decompose_batch`)
-        instead of per request. The decomposition is snapshotted against the
-        layout at submission time, so callers must not ``relayout`` between
-        submitting and completion of these requests.
-
-        ``issue_times`` (seconds relative to now, one per request, >= 0)
-        delays each request's metadata consult and service to its own issue
-        instant instead of issuing everything simultaneously — the timing a
-        trace replay with preserved think time needs.
-        """
-        op = OpType.parse(op)
-        sim = self.pfs.sim
-        if issue_times is not None and len(issue_times) != len(requests):
-            raise ValueError(
-                f"issue_times has {len(issue_times)} entries for {len(requests)} requests"
-            )
-        presplits = self._presplit(requests)
-        procs = []
-        for idx, (offset, size) in enumerate(requests):
-            if issue_times is None:
-                generator = self._request_proc(op, offset, size, presplit=presplits[idx])
-            else:
-                delay = float(issue_times[idx])
-                if delay < 0:
-                    raise ValueError(f"issue_times must be >= 0, got {delay}")
-                generator = self._issue_after(delay, op, offset, size, presplits[idx])
-            procs.append(sim.process(generator, name=f"{self.name}:{op.value}@{offset}"))
-        return procs
-
     def request_batch(self, batch: RequestBatch, force_general: bool = False) -> Event:
         """Submit a columnar batch; returns an event firing at completion.
 
@@ -288,8 +212,8 @@ class PFSFile:
         served by the arithmetic replay fast path, byte-identical to the
         general path but without per-request process machinery. Otherwise
         (or with ``force_general=True``, or ``REPRO_BATCH_FAST=0`` in the
-        environment) it transparently spawns one process per request
-        exactly like :meth:`request_many`.
+        environment) it spawns one process per request, each served
+        exactly like :meth:`request` at its issue instant.
 
         Typical use drains the whole batch: ``sim.run(handle.request_batch(b))``.
         """
@@ -315,7 +239,6 @@ class PFSFile:
             stats["fast_requests"] += n
             stats["fast_subrequests"] += n_subrequests
             return done
-        presplits = self._presplit(list(zip(batch.offsets.tolist(), batch.sizes.tolist())))
         stats["general_batches"] += 1
         stats["general_requests"] += n
         fallbacks = self.pfs.batch_fallbacks
@@ -328,13 +251,9 @@ class PFSFile:
         for idx in range(n):
             op = OpType.READ if reads[idx] else OpType.WRITE
             if issue is None:
-                generator = self._request_proc(
-                    op, offsets[idx], sizes[idx], presplit=presplits[idx]
-                )
+                generator = self._request_proc(op, offsets[idx], sizes[idx])
             else:
-                generator = self._issue_after(
-                    issue[idx], op, offsets[idx], sizes[idx], presplits[idx]
-                )
+                generator = self._issue_after(issue[idx], op, offsets[idx], sizes[idx])
             procs.append(sim.process(generator, name=f"{self.name}:{op.value}@{offsets[idx]}"))
 
         def _finish(umbrella: Event) -> None:
@@ -346,9 +265,7 @@ class PFSFile:
         sim.all_of(procs).add_callback(_finish)
         return done
 
-    def _issue_after(
-        self, delay: float, op: OpType, offset: int, size: int, presplit: list
-    ) -> Generator:
+    def _issue_after(self, delay: float, op: OpType, offset: int, size: int) -> Generator:
         """Delay a request to its issue instant, then serve it in place.
 
         A zero delay adds no timeout event, so a zero-delay entry behaves
@@ -356,7 +273,7 @@ class PFSFile:
         """
         if delay:
             yield self.pfs.sim.timeout(delay)
-        result = yield from self._request_proc(op, offset, size, presplit=presplit)
+        result = yield from self._request_proc(op, offset, size)
         return result
 
     def serve_inline(self, op: OpType | str, offset: int, size: int) -> Generator:
@@ -367,9 +284,7 @@ class PFSFile:
         """
         yield from self._request_proc(OpType.parse(op), offset, size)
 
-    def _request_proc(
-        self, op: OpType, offset: int, size: int, presplit: list | None = None
-    ) -> Generator:
+    def _request_proc(self, op: OpType, offset: int, size: int) -> Generator:
         sim = self.pfs.sim
         started = sim.now
         # Metadata lookup (RST consult under HARL) sits on the critical path
@@ -382,11 +297,6 @@ class PFSFile:
             yield from cache.lookup(self)
         sub_procs = []
         extent_ns = f"{self.name}#g{self.layout_generation}"
-        if presplit is None:
-            presplit = [
-                (segment, segment.config.decompose(segment.offset - segment.region_base, segment.size))
-                for segment in self.layout.segments(offset, size)
-            ]
         # Resilience hooks. All three stay inert (None) in fault-free runs,
         # so the fast path below is byte-identical to a build without them.
         health = self.pfs.health
@@ -403,9 +313,9 @@ class PFSFile:
         qos = self.qos
         overrides = self.pfs.replica_overrides
         quorum = self.pfs.write_quorum
-        for segment, subs in presplit:
+        for segment in self.layout.segments(offset, size):
             copies = self.layout.replica_count(segment.region_id) if replicated else 1
-            for sub in subs:
+            for sub in segment.config.decompose(segment.offset - segment.region_base, segment.size):
                 server_id = sub.server_id if server_map is None else server_map[sub.server_id]
                 # ``config_id`` keys the placement's logical identity for
                 # rebuild overrides; it stays None while no override exists

@@ -8,17 +8,31 @@ to HServer ``i`` and bytes ``[M·h + j·s, M·h + (j+1)·s)`` go to SServer
 contiguous logical request maps to **at most one contiguous physical
 extent per server** (middle rounds always cover every window fully).
 
-The whole module rests on one closed form. For a server whose in-round
-window is ``[a, b)`` (width ``w = b − a``), the number of that server's
-bytes below logical offset ``x`` is::
+The geometry generalizes to K ordered server classes with their own counts
+and stripes (the multi-tier extension in :mod:`repro.pfs.tiered`):
+:class:`StripingGeometry` derives every window from ``class_counts`` and
+``stripes`` alone, and both :class:`StripingConfig` (K = 2) and
+``MultiClassStripingConfig`` inherit it.
 
-    F(x) = floor(x / S) · w + clamp(x mod S − a, 0, w)
+The whole module rests on one closed form. For a server whose in-round
+window is ``[a, a + w)``, the number of that server's bytes below logical
+offset ``x`` is::
+
+    F(x) = floor(x / S) · w + clip(x mod S − a, 0, w)
 
 ``F`` is monotone and exactly partitions bytes among servers, so a request
 ``[o, o + r)`` gives server ``i`` the physical extent
-``[F_i(o), F_i(o + r))``. Everything else — sub-request decomposition for
-the simulator, the critical parameters ``(s_m, s_n, m, n)`` for the cost
-model, scalar or vectorized — derives from this.
+``[F_i(o), F_i(o + r))``. ``F`` is written out in three forms, one per kind
+of traffic:
+
+- :meth:`StripingGeometry.decompose`, scalar, for the per-request DES. It
+  runs once per simulated request (tens of thousands of times per fault
+  run), where a plain Python loop over the servers beats any numpy call.
+- :func:`decompose_batch_flat`, flat sub-request columns over a whole
+  request batch, for the batch replay tiers.
+- :func:`class_critical_params`, per-class (largest sub-request, servers
+  touched) over a (candidates × requests) grid, for Algorithm 2's cost
+  models; it never materializes the sub-requests.
 
 The paper's Figure 5 publishes case-analysis closed forms for case (a)
 (request begins and ends on HServers); :func:`paper_case_a_params`
@@ -28,7 +42,7 @@ implements them verbatim so tests can compare against the exact math.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -36,13 +50,127 @@ from repro.util.units import format_size
 
 
 @dataclass(frozen=True)
-class StripingConfig:
+class SubRequest:
+    """One server's share of a logical request.
+
+    ``offset`` and ``size`` address the server's *local* file (physical
+    bytes).
+    """
+
+    server_id: int
+    offset: int
+    size: int
+
+
+class StripingGeometry:
+    """Round-robin striping over K ordered server classes.
+
+    Subclasses provide ``class_counts`` (servers per class) and ``stripes``
+    (stripe size per class); everything here derives from those two tuples.
+    Class ``i`` owns the next ``class_counts[i]`` server ids, and each of
+    its servers holds a window of ``stripes[i]`` bytes per round, in server
+    order. A class with stripe 0 receives no data.
+    """
+
+    @cached_property
+    def round_size(self) -> int:
+        """Bytes per striping round: S = Σ count_i · stripe_i."""
+        return sum(count * stripe for count, stripe in zip(self.class_counts, self.stripes))
+
+    @property
+    def n_servers(self) -> int:
+        """Total server count."""
+        return sum(self.class_counts)
+
+    @property
+    def n_classes(self) -> int:
+        """Number of performance classes."""
+        return len(self.class_counts)
+
+    @cached_property
+    def _windows(self) -> tuple[tuple[int, int, int], ...]:
+        """``(start, width, class)`` of every server's in-round window.
+
+        ``decompose`` runs once per simulated request; recomputing the
+        windows per call dominated its profile, so each config computes
+        them once.
+        """
+        windows = []
+        start = 0
+        for class_index, (count, stripe) in enumerate(zip(self.class_counts, self.stripes)):
+            for _ in range(count):
+                windows.append((start, stripe, class_index))
+                start += stripe
+        return tuple(windows)
+
+    def _check_server(self, server_id: int) -> tuple[int, int, int]:
+        if not (0 <= server_id < len(self._windows)):
+            raise IndexError(f"server_id {server_id} out of range 0..{self.n_servers - 1}")
+        return self._windows[server_id]
+
+    def server_window(self, server_id: int) -> tuple[int, int]:
+        """In-round byte window ``[a, b)`` of ``server_id``."""
+        start, width, _ = self._check_server(server_id)
+        return (start, start + width)
+
+    def class_of(self, server_id: int) -> int:
+        """Performance-class index of a server."""
+        return self._check_server(server_id)[2]
+
+    def decompose(self, offset: int, size: int) -> list[SubRequest]:
+        """Split logical request ``[offset, offset+size)`` into sub-requests.
+
+        Returns one :class:`SubRequest` per touched server, ordered by server
+        id. The sub-request sizes always sum to ``size`` and each is a single
+        contiguous extent in the server's local file.
+        """
+        if offset < 0:
+            raise ValueError(f"offset must be >= 0, got {offset}")
+        if size < 0:
+            raise ValueError(f"size must be >= 0, got {size}")
+        if size == 0:
+            return []
+        S = self.round_size
+        full_start, rem_start = divmod(offset, S)
+        full_end, rem_end = divmod(offset + size, S)
+        subs: list[SubRequest] = []
+        append = subs.append
+        for server_id, (a, w, _) in enumerate(self._windows):
+            if w == 0:
+                continue
+            rel = rem_start - a
+            p_start = full_start * w + (0 if rel < 0 else (w if rel > w else rel))
+            rel = rem_end - a
+            p_end = full_end * w + (0 if rel < 0 else (w if rel > w else rel))
+            if p_end > p_start:
+                append(SubRequest(server_id=server_id, offset=p_start, size=p_end - p_start))
+        return subs
+
+    def critical_params_per_class(self, offset: int, size: int) -> list[tuple[int, int]]:
+        """Per-class ``(largest sub-request, servers touched)`` for one request.
+
+        The K-class form of the cost model's critical parameters, in the
+        shape :func:`class_critical_params` returns per class.
+        """
+        largest = [0] * self.n_classes
+        touched = [0] * self.n_classes
+        windows = self._windows
+        for sub in self.decompose(offset, size):
+            class_index = windows[sub.server_id][2]
+            touched[class_index] += 1
+            largest[class_index] = max(largest[class_index], sub.size)
+        return list(zip(largest, touched))
+
+
+@dataclass(frozen=True)
+class StripingConfig(StripingGeometry):
     """A (M, N, h, s) striping choice for one file or file region.
 
     ``n_hservers``/``n_sservers`` are the paper's M and N; ``hstripe`` and
     ``sstripe`` are h and s in bytes. ``h == 0`` (or ``s == 0``) excludes
     that server class entirely — the paper's Fig. 9 optimum {0K, 64K} places
-    data on SServers only.
+    data on SServers only. Servers ``0 .. M-1`` are HServers; ``M .. M+N-1``
+    are SServers, following the paper's numbering.
     """
 
     n_hservers: int
@@ -63,37 +191,6 @@ class StripingConfig:
             )
 
     @property
-    def round_size(self) -> int:
-        """Bytes per striping round: S = M·h + N·s."""
-        return self.n_hservers * self.hstripe + self.n_sservers * self.sstripe
-
-    @property
-    def n_servers(self) -> int:
-        """Total server count M + N."""
-        return self.n_hservers + self.n_sservers
-
-    def server_window(self, server_id: int) -> tuple[int, int]:
-        """In-round byte window ``[a, b)`` of ``server_id``.
-
-        Servers ``0 .. M-1`` are HServers; ``M .. M+N-1`` are SServers,
-        following the paper's numbering.
-        """
-        if not (0 <= server_id < self.n_servers):
-            raise IndexError(f"server_id {server_id} out of range 0..{self.n_servers - 1}")
-        if server_id < self.n_hservers:
-            a = server_id * self.hstripe
-            return (a, a + self.hstripe)
-        j = server_id - self.n_hservers
-        a = self.n_hservers * self.hstripe + j * self.sstripe
-        return (a, a + self.sstripe)
-
-    def is_hserver(self, server_id: int) -> bool:
-        """True if ``server_id`` indexes an HServer."""
-        return 0 <= server_id < self.n_hservers
-
-    # -- generic per-class interface (shared with the multi-tier configs) --
-
-    @property
     def class_counts(self) -> tuple[int, ...]:
         """Servers per performance class: (M, N)."""
         return (self.n_hservers, self.n_sservers)
@@ -103,13 +200,9 @@ class StripingConfig:
         """Stripe size per class: (h, s). The RST merges on this tuple."""
         return (self.hstripe, self.sstripe)
 
-    def class_of(self, server_id: int) -> int:
-        """Performance-class index of a server (0 = HServer, 1 = SServer)."""
-        return 0 if self.is_hserver(server_id) else 1
-
-    def decompose(self, offset: int, size: int) -> list["SubRequest"]:
-        """Polymorphic entry point used by the filesystem fan-out."""
-        return decompose(self, offset, size)
+    def is_hserver(self, server_id: int) -> bool:
+        """True if ``server_id`` indexes an HServer."""
+        return 0 <= server_id < self.n_hservers
 
     def to_dict(self) -> dict:
         """JSON-serializable form (see ``config_from_dict``)."""
@@ -130,21 +223,6 @@ class StripingConfig:
 
 
 @dataclass(frozen=True)
-class SubRequest:
-    """One server's share of a logical request.
-
-    ``offset`` and ``size`` address the server's *local* file (physical
-    bytes); ``logical_offset`` records where the extent starts in the logical
-    file, which the simulator's positional device models use.
-    """
-
-    server_id: int
-    offset: int
-    size: int
-    logical_offset: int
-
-
-@dataclass(frozen=True)
 class CriticalParams:
     """The cost model's four critical parameters for one request.
 
@@ -158,153 +236,23 @@ class CriticalParams:
     n: int
 
 
-def _server_bytes_below(x: int, a: int, b: int, round_size: int) -> int:
-    """F(x): bytes of the server with window [a, b) below logical offset x."""
-    w = b - a
-    if w == 0:
-        return 0
-    full, rem = divmod(x, round_size)
-    return full * w + min(max(rem - a, 0), w)
-
-
-@lru_cache(maxsize=1024)
-def _window_table(config: StripingConfig) -> tuple[tuple[int, int], ...]:
-    """Per-server in-round windows, computed once per config.
-
-    ``decompose`` runs once per simulated request; recomputing every
-    server's window (and the round size behind it) per call dominated its
-    profile. Configs are small frozen dataclasses, so a bounded cache keyed
-    on the config itself is safe.
-    """
-    return tuple(config.server_window(i) for i in range(config.n_servers))
-
-
-def decompose(config: StripingConfig, offset: int, size: int) -> list[SubRequest]:
-    """Split logical request ``[offset, offset+size)`` into sub-requests.
-
-    Returns one :class:`SubRequest` per touched server, ordered by server id.
-    The sub-request sizes always sum to ``size`` and each is a single
-    contiguous extent in the server's local file.
-    """
-    if offset < 0:
-        raise ValueError(f"offset must be >= 0, got {offset}")
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
-    if size == 0:
-        return []
-    S = config.round_size
-    full_start, rem_start = divmod(offset, S)
-    full_end, rem_end = divmod(offset + size, S)
-    subs: list[SubRequest] = []
-    append = subs.append
-    for server_id, (a, b) in enumerate(_window_table(config)):
-        w = b - a
-        if w == 0:
-            continue
-        rel = rem_start - a
-        p_start = full_start * w + (0 if rel < 0 else (w if rel > w else rel))
-        rel = rem_end - a
-        p_end = full_end * w + (0 if rel < 0 else (w if rel > w else rel))
-        if p_end > p_start:
-            # Logical offset where this server's extent begins: the first
-            # logical byte >= offset that falls inside the server's window.
-            if a <= rem_start < b:
-                logical = offset
-            elif rem_start < a:
-                logical = full_start * S + a
-            else:
-                logical = (full_start + 1) * S + a
-            append(
-                SubRequest(
-                    server_id=server_id,
-                    offset=p_start,
-                    size=p_end - p_start,
-                    logical_offset=logical,
-                )
-            )
-    return subs
-
-
-def decompose_batch(
-    config: StripingConfig,
-    offsets: np.ndarray,
-    sizes: np.ndarray,
-) -> list[list[SubRequest]]:
-    """Vectorized :func:`decompose` over many requests in one numpy pass.
-
-    Args:
-        config: the striping choice shared by every request.
-        offsets, sizes: integer arrays of equal length (bytes).
-
-    Returns:
-        One ``decompose``-identical sub-request list per input request, in
-        input order. This is the multi-request submission path: the closed
-        form ``F`` is evaluated as one (n_requests × n_servers) array
-        operation instead of per request, which is what
-        :meth:`repro.pfs.filesystem.PFSFile.request_many` and batch-oriented
-        workload drivers use.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if offsets.shape != sizes.shape or offsets.ndim != 1:
-        raise ValueError("offsets and sizes must be equal-length 1-D arrays")
-    if offsets.size and (int(offsets.min()) < 0 or int(sizes.min()) < 0):
-        raise ValueError("offsets and sizes must be >= 0")
-    if offsets.size == 0:
-        return []
-    S = config.round_size
-    windows = np.asarray(_window_table(config), dtype=np.int64)  # (n_servers, 2)
-    a = windows[:, 0][None, :]
-    w = (windows[:, 1] - windows[:, 0])[None, :]
-
-    full_start, rem_start = np.divmod(offsets[:, None], S)
-    full_end, rem_end = np.divmod((offsets + sizes)[:, None], S)
-    p_start = full_start * w + np.clip(rem_start - a, 0, w)
-    p_end = full_end * w + np.clip(rem_end - a, 0, w)
-    sub_sizes = p_end - p_start
-
-    # First logical byte >= offset inside each server's window (see decompose).
-    b = windows[:, 1][None, :]
-    logical = np.where(
-        rem_start < a,
-        full_start * S + a,
-        np.where(rem_start >= b, (full_start + 1) * S + a, offsets[:, None]),
-    )
-
-    # Assemble from plain Python lists: per-element numpy scalar indexing
-    # costs more than the whole vectorized math above at realistic batch
-    # sizes, while tolist() converts each matrix in one C pass.
-    out: list[list[SubRequest]] = []
-    for row_start, row_sizes, row_logical in zip(
-        p_start.tolist(), sub_sizes.tolist(), logical.tolist()
-    ):
-        out.append(
-            [
-                SubRequest(
-                    server_id=sid,
-                    offset=row_start[sid],
-                    size=sub_size,
-                    logical_offset=row_logical[sid],
-                )
-                for sid, sub_size in enumerate(row_sizes)
-                if sub_size > 0
-            ]
-        )
-    return out
+def decompose(config: StripingGeometry, offset: int, size: int) -> list[SubRequest]:
+    """Function form of :meth:`StripingGeometry.decompose`."""
+    return config.decompose(offset, size)
 
 
 def decompose_batch_flat(
-    config: StripingConfig,
+    config: StripingGeometry,
     offsets: np.ndarray,
     sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`decompose_batch` emitted as flat sub-request columns.
+    """:meth:`StripingGeometry.decompose` over many requests, as flat columns.
 
     Returns ``(piece_index, server_id, sub_offset, sub_size)`` int64 arrays,
     one entry per non-empty sub-request, ordered by ``(input piece,
-    server_id)`` — the exact order in which :func:`decompose` would emit
-    them per piece. No per-request Python lists are materialized, which is
-    what the columnar replay engine consumes directly.
+    server_id)`` — the exact order in which ``decompose`` would emit them
+    per piece. No per-request Python lists are materialized; the batch
+    replay tiers consume the columns directly.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -316,9 +264,9 @@ def decompose_batch_flat(
     if offsets.size == 0:
         return empty, empty, empty, empty
     S = config.round_size
-    windows = np.asarray(_window_table(config), dtype=np.int64)  # (n_servers, 2)
+    windows = np.asarray(config._windows, dtype=np.int64)  # (n_servers, 3)
     a = windows[:, 0][None, :]
-    w = (windows[:, 1] - windows[:, 0])[None, :]
+    w = windows[:, 1][None, :]
 
     full_start, rem_start = np.divmod(offsets[:, None], S)
     full_end, rem_end = np.divmod((offsets + sizes)[:, None], S)
@@ -338,15 +286,7 @@ def decompose_batch_flat(
 
 def critical_params(config: StripingConfig, offset: int, size: int) -> CriticalParams:
     """Exact (s_m, s_n, m, n) for one request under ``config``."""
-    s_m = s_n = 0
-    m = n = 0
-    for sub in decompose(config, offset, size):
-        if config.is_hserver(sub.server_id):
-            m += 1
-            s_m = max(s_m, sub.size)
-        else:
-            n += 1
-            s_n = max(s_n, sub.size)
+    (s_m, m), (s_n, n) = config.critical_params_per_class(offset, size)
     return CriticalParams(s_m=s_m, s_n=s_n, m=m, n=n)
 
 

@@ -2,17 +2,17 @@
 
 Sec. V: "In the future, we would like to extend our cost model to
 accommodate more than two server performance profiles." This module
-generalizes the round-robin striping math from (M HServers, N SServers) to
-an ordered list of server classes, each with its own count and stripe size
-— e.g. NVMe / SATA-SSD / HDD tiers. The same closed form applies: one
-striping round is ``S = Σ count_i · stripe_i`` bytes, each server's window
-sits inside the round, and a contiguous logical request maps to at most one
-contiguous physical extent per server.
+generalizes the paper's (M HServers, N SServers) layout to an ordered list
+of server classes, each with its own count and stripe size — e.g. NVMe /
+SATA-SSD / HDD tiers. One striping round is ``S = Σ count_i · stripe_i``
+bytes, each server's window sits inside the round, and a contiguous
+logical request maps to at most one contiguous physical extent per server.
 
-:class:`MultiClassStripingConfig` implements the same interface as the
-two-class :class:`repro.pfs.mapping.StripingConfig` (``class_counts``,
-``stripes``, ``server_window``, ``decompose``, ``describe``, ``to_dict``),
-so layouts, the RST, and the filesystem fan-out work unchanged.
+:class:`MultiClassStripingConfig` and the two-class
+:class:`repro.pfs.mapping.StripingConfig` share one geometry,
+:class:`repro.pfs.mapping.StripingGeometry`, so windows, decomposition and
+per-class critical parameters are the same code for both, and layouts, the
+RST, and the filesystem fan-out work unchanged.
 :class:`TieredPFS` builds a cluster from arbitrary per-tier device factories.
 """
 
@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.devices.base import StorageDevice
 from repro.network.link import NetworkModel
 from repro.pfs.filesystem import ParallelFileSystem
 from repro.pfs.layout import LayoutPolicy, LayoutSegment
-from repro.pfs.mapping import CriticalParams, StripingConfig, SubRequest, _server_bytes_below
+from repro.pfs.mapping import StripingConfig, StripingGeometry
 from repro.pfs.server import FileServer
 from repro.simulate.engine import Simulator
 from repro.util.units import format_size
@@ -46,7 +44,7 @@ class ClassStripe:
             raise ValueError(f"stripe must be >= 0, got {self.stripe}")
 
 
-class MultiClassStripingConfig:
+class MultiClassStripingConfig(StripingGeometry):
     """Round-robin striping over K ordered server classes.
 
     Class ``i`` owns servers ``offset_i .. offset_i + count_i - 1`` (classes
@@ -65,26 +63,6 @@ class MultiClassStripingConfig:
             raise ValueError(
                 "striping config distributes no data: need sum(count_i * stripe_i) > 0"
             )
-        # Precompute per-server (window start, width, class index).
-        self._windows: list[tuple[int, int, int]] = []
-        cursor = 0
-        for class_index, cls in enumerate(self.classes):
-            for _ in range(cls.count):
-                self._windows.append((cursor, cls.stripe, class_index))
-                cursor += cls.stripe
-
-    @property
-    def round_size(self) -> int:
-        """Bytes per striping round: Σ count_i · stripe_i."""
-        return sum(c.count * c.stripe for c in self.classes)
-
-    @property
-    def n_servers(self) -> int:
-        return sum(c.count for c in self.classes)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
 
     @property
     def class_counts(self) -> tuple[int, ...]:
@@ -95,65 +73,6 @@ class MultiClassStripingConfig:
     def stripes(self) -> tuple[int, ...]:
         """Stripe size per class (the RST merge key)."""
         return tuple(c.stripe for c in self.classes)
-
-    def server_window(self, server_id: int) -> tuple[int, int]:
-        """In-round byte window [a, b) of ``server_id``."""
-        if not (0 <= server_id < self.n_servers):
-            raise IndexError(f"server_id {server_id} out of range 0..{self.n_servers - 1}")
-        start, width, _ = self._windows[server_id]
-        return (start, start + width)
-
-    def class_of(self, server_id: int) -> int:
-        """Performance-class index of a server."""
-        if not (0 <= server_id < self.n_servers):
-            raise IndexError(f"server_id {server_id} out of range 0..{self.n_servers - 1}")
-        return self._windows[server_id][2]
-
-    def decompose(self, offset: int, size: int) -> list[SubRequest]:
-        """Split a logical request into one contiguous extent per server."""
-        if offset < 0 or size < 0:
-            raise ValueError("offset and size must be >= 0")
-        if size == 0:
-            return []
-        S = self.round_size
-        end = offset + size
-        subs: list[SubRequest] = []
-        for server_id, (a, width, _) in enumerate(self._windows):
-            b = a + width
-            p_start = _server_bytes_below(offset, a, b, S)
-            p_end = _server_bytes_below(end, a, b, S)
-            if p_end > p_start:
-                full, rem = divmod(offset, S)
-                if a <= rem < b:
-                    logical = offset
-                elif rem < a:
-                    logical = full * S + a
-                else:
-                    logical = (full + 1) * S + a
-                subs.append(
-                    SubRequest(
-                        server_id=server_id,
-                        offset=p_start,
-                        size=p_end - p_start,
-                        logical_offset=logical,
-                    )
-                )
-        return subs
-
-    def critical_params_per_class(self, offset: int, size: int) -> list[CriticalParams]:
-        """Per-class (max sub-request size, touched count) — the K-class
-        generalization of (s_m, s_n, m, n). ``s_n``/``n`` fields are unused
-        (kept 0) since each class gets its own entry."""
-        maxima = [0] * self.n_classes
-        counts = [0] * self.n_classes
-        for sub in self.decompose(offset, size):
-            class_index = self.class_of(sub.server_id)
-            counts[class_index] += 1
-            maxima[class_index] = max(maxima[class_index], sub.size)
-        return [
-            CriticalParams(s_m=maxima[i], s_n=0, m=counts[i], n=0)
-            for i in range(self.n_classes)
-        ]
 
     def describe(self) -> str:
         """Legend label, e.g. ``"16K/64K/256K"``."""

@@ -491,6 +491,73 @@ class TestColumnarTier:
 
 
 # ---------------------------------------------------------------------------
+# K-class striping on the batch fast path
+# ---------------------------------------------------------------------------
+
+
+class TestTieredParity:
+    """A 3-tier ``TieredFixedLayout`` replays on the fast path exactly as the
+    general path serves it, including a tier whose stripe is 0."""
+
+    @staticmethod
+    def _run(config, batch, force_general):
+        from repro.devices.hdd import HDDModel
+        from repro.devices.ssd import SSDModel
+        from repro.pfs.tiered import TieredFixedLayout, TieredPFS
+        from repro.util.rng import derive_rng
+
+        sim = Simulator()
+        kinds = (SSDModel, SSDModel, HDDModel)
+        pfs = TieredPFS.build(
+            sim,
+            [
+                [kind(seed=derive_rng(0, "tier", t, i)) for i in range(count)]
+                for t, (kind, count) in enumerate(zip(kinds, config.class_counts))
+            ],
+        )
+        handle = pfs.create_file("f", TieredFixedLayout(config))
+        done = handle.request_batch(batch, force_general=force_general)
+        sim.run(done)
+        return (
+            np.asarray(done.value, dtype=np.float64),
+            sim.now,
+            sorted(pfs.server_busy_times().items()),
+            [s.device.rng.bit_generator.state for s in pfs.servers],
+            dict(pfs.batch_stats),
+            dict(pfs.batch_fallbacks),
+        )
+
+    @pytest.mark.parametrize(
+        "classes",
+        [
+            [(2, 32 * KiB), (1, 64 * KiB), (3, 16 * KiB)],
+            [(2, 48 * KiB), (1, 0), (3, 16 * KiB)],
+        ],
+        ids=["three-tier", "zero-stripe-tier"],
+    )
+    @pytest.mark.parametrize("op_read", [False, True])
+    def test_fast_matches_general(self, classes, op_read):
+        from repro.pfs.tiered import MultiClassStripingConfig
+
+        config = MultiClassStripingConfig(classes)
+        rng = np.random.default_rng(7)
+        n = 400
+        batch = RequestBatch(
+            offsets=rng.integers(0, 8 * 1024 * 1024, n).astype(np.int64),
+            sizes=rng.integers(1, 512 * KiB, n).astype(np.int64),
+            is_read=np.full(n, op_read, dtype=bool),
+        )
+        elapsed, now, busy, rng_states, stats, fallbacks = self._run(config, batch, False)
+        g_elapsed, g_now, g_busy, g_rng_states, g_stats, _ = self._run(config, batch, True)
+        assert stats["fast_columnar_batches"] == 1 and fallbacks == {}
+        assert g_stats["general_batches"] == 1
+        np.testing.assert_array_equal(elapsed, g_elapsed)
+        assert now == g_now
+        assert busy == g_busy
+        assert rng_states == g_rng_states
+
+
+# ---------------------------------------------------------------------------
 # Batched runs through the parallel job fabric (--jobs N)
 # ---------------------------------------------------------------------------
 

@@ -147,10 +147,6 @@ class TestDecompose:
         assert all(s.server_id >= 6 for s in subs)
         assert sum(s.size for s in subs) == 512 * KiB
 
-    def test_logical_offsets_within_request_window(self):
-        for sub in decompose(HYBRID, 100 * KiB, 900 * KiB):
-            assert 100 * KiB <= sub.logical_offset < 1000 * KiB
-
 
 class TestCriticalParams:
     def test_single_server(self):

@@ -9,7 +9,9 @@ from repro.pfs.mapping import (
     critical_params,
     critical_params_vectorized,
     decompose,
+    decompose_batch_flat,
 )
+from repro.pfs.tiered import MultiClassStripingConfig
 
 @st.composite
 def _configs(draw):
@@ -136,3 +138,37 @@ def test_growing_request_monotone_bytes(config, offset, size):
     large = {s.server_id: s.size for s in decompose(config, offset, size + 64)}
     for server_id, bytes_small in small.items():
         assert large.get(server_id, 0) >= bytes_small
+
+
+@st.composite
+def _multiclass_configs(draw):
+    classes = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=48)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    assume(sum(count * stripe for count, stripe in classes) > 0)
+    return MultiClassStripingConfig(classes)
+
+
+@given(
+    st.one_of(configs, _multiclass_configs()),
+    st.lists(st.tuples(offsets, sizes), max_size=30),
+)
+@settings(max_examples=200)
+def test_flat_batch_matches_scalar_decompose(config, requests):
+    """The batch columns are the scalar sub-requests of every piece, concatenated."""
+    piece, server, sub_offset, sub_size = decompose_batch_flat(
+        config,
+        np.array([o for o, _ in requests], dtype=np.int64),
+        np.array([s for _, s in requests], dtype=np.int64),
+    )
+    expected = [
+        (index, sub.server_id, sub.offset, sub.size)
+        for index, (o, s) in enumerate(requests)
+        for sub in config.decompose(o, s)
+    ]
+    got = list(zip(piece.tolist(), server.tolist(), sub_offset.tolist(), sub_size.tolist()))
+    assert got == expected

@@ -101,27 +101,25 @@ class TestDecompose:
 class TestCriticalParamsPerClass:
     def test_full_round(self):
         per_class = THREE_TIER.critical_params_per_class(0, THREE_TIER.round_size)
-        assert [crit.m for crit in per_class] == [2, 2, 4]
-        assert [crit.s_m for crit in per_class] == [128 * KiB, 64 * KiB, 16 * KiB]
+        assert per_class == [(128 * KiB, 2), (64 * KiB, 2), (16 * KiB, 4)]
 
     def test_matches_decompose(self):
         for offset, size in [(0, 100 * KiB), (37 * KiB, 700 * KiB)]:
             per_class = THREE_TIER.critical_params_per_class(offset, size)
             subs = THREE_TIER.decompose(offset, size)
-            for class_index, crit in enumerate(per_class):
+            for class_index, (largest, touched) in enumerate(per_class):
                 class_subs = [
                     s.size for s in subs if THREE_TIER.class_of(s.server_id) == class_index
                 ]
-                assert crit.m == len(class_subs)
-                assert crit.s_m == (max(class_subs) if class_subs else 0)
+                assert touched == len(class_subs)
+                assert largest == (max(class_subs) if class_subs else 0)
 
     def test_two_class_agrees_with_critical_params(self):
         embedded = MultiClassStripingConfig.from_two_class(TWO_CLASS)
         for offset, size in [(0, 512 * KiB), (50 * KiB, 900 * KiB)]:
             per_class = embedded.critical_params_per_class(offset, size)
             original = critical_params(TWO_CLASS, offset, size)
-            assert per_class[0].s_m == original.s_m and per_class[0].m == original.m
-            assert per_class[1].s_m == original.s_n and per_class[1].m == original.n
+            assert per_class == [(original.s_m, original.m), (original.s_n, original.n)]
 
 
 class TestSerialization:
