@@ -461,8 +461,9 @@ class MetadataCluster:
         self.hops_total = 0
         self.hops_max = 0
         self._consult_seq = 0
-        #: In-flight lookup serve processes per shard, interrupted on crash.
-        self._inflight: dict[int, set[Process]] = {i: set() for i in range(n_shards)}
+        #: In-flight lookup serve processes per shard, interrupted on crash
+        #: in the order they started (a dict, not a set: never by address).
+        self._inflight: dict[int, dict[Process, None]] = {i: {} for i in range(n_shards)}
         #: True once an mds-crash fault is armed: lookups run in child
         #: processes so a crash can interrupt them. Off by default — the
         #: inline path keeps the one-shard event sequence of the golden
@@ -675,7 +676,7 @@ class MetadataCluster:
                 serve = sim.process(
                     self._shard_serve(home, service_time), name=f"{shard.name}-lookup"
                 )
-                self._inflight[home].add(serve)
+                self._inflight[home][serve] = None
                 try:
                     yield serve
                 except MetadataUnavailable:
@@ -683,7 +684,7 @@ class MetadataCluster:
                 else:
                     return
                 finally:
-                    self._inflight[home].discard(serve)
+                    self._inflight[home].pop(serve, None)
             attempt += 1
             if attempt >= self.max_attempts:
                 self.health.unavailable += 1
@@ -803,7 +804,7 @@ class MetadataCluster:
         new_id = self.health.grow()
         shard = MetadataShard(new_id, **self._mds_kwargs)
         self.shards.append(shard)
-        self._inflight[new_id] = set()
+        self._inflight[new_id] = {}
         if self._sim is not None:
             shard.attach(self._sim)
         self.ring.join(new_id)
