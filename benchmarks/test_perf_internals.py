@@ -591,6 +591,43 @@ def test_perf_harl_plan_fig11(benchmark):
     assert stripe_cache_info()["hits"] == 0
 
 
+def test_perf_des_resilient_serve(benchmark):
+    """The scalar DES serve path under faults and QoS, with no fault firing.
+
+    Every sub-request runs as its own process through ``_serve_resilient``:
+    a retry policy races each serve against a timeout (an ``any_of`` and a
+    lazily cancelled guard), every server tracks its in-flight serves for
+    crash interruption, and the disks grant in weighted-fair order from the
+    handles' QoS tags. This is the serving half of ``des-chaos``; its cost
+    is mostly zero-delay events (bootstraps, grants, completions).
+    """
+    from repro.faults.retry import RetryPolicy
+
+    def run():
+        sim = Simulator()
+        pfs = HybridPFS.build(sim, 3, 1, seed=0, disk_scheduler="wfq")
+        pfs.retry = RetryPolicy(timeout=0.5, seed=0)
+        for server in pfs.servers:
+            server.enable_fault_tracking()
+        handles = [pfs.create_file(f"t{i}", FixedLayout(3, 1, 64 * KiB)) for i in range(3)]
+        for weight, handle in enumerate(handles, start=1):
+            handle.qos = (handle.name, float(weight))
+        procs = [
+            handles[i % 3].write((i // 3) * 256 * KiB, 256 * KiB) if i % 4 == 0
+            else handles[i % 3].read((i // 3) * 256 * KiB, 128 * KiB)
+            for i in range(192)
+        ]
+        sim.run(sim.all_of(procs))
+        assert pfs.health.timeouts == 0 and pfs.health.retries == 0
+        return sim.now
+
+    result = benchmark(run)
+    assert result > 0
+    baseline = _baseline_mean("test_perf_des_resilient_serve")
+    if baseline is not None:
+        assert benchmark.stats.stats.mean <= baseline * 2.0
+
+
 def test_perf_schedule_many(benchmark):
     """Bulk event insertion vs one million timeout events.
 

@@ -197,7 +197,7 @@ def fast_path_blocker(handle, batch=None) -> str | None:
     sim = pfs.sim
     if sim.tracer is not None:
         return "tracing"
-    if sim._active_process is not None or sim._heap:
+    if sim._active_process is not None or sim._heap or sim._ready:
         return "simulator-busy"
     if handle.retry is not None or pfs.retry is not None:
         return "retry-policy"

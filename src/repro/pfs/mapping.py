@@ -27,7 +27,8 @@ of traffic:
 
 - :meth:`StripingGeometry.decompose`, scalar, for the per-request DES. It
   runs once per simulated request (tens of thousands of times per fault
-  run), where a plain Python loop over the servers beats any numpy call.
+  run), where a plain Python loop over the servers beats any numpy call,
+  and memoizes that loop's result per offset within the round and size.
 - :func:`decompose_batch_flat`, flat sub-request columns over a whole
   request batch, for the batch replay tiers.
 - :func:`class_critical_params`, per-class (largest sub-request, servers
@@ -47,6 +48,9 @@ from functools import cached_property
 import numpy as np
 
 from repro.util.units import format_size
+
+#: Most per-server shapes one striping config memoizes for ``decompose``.
+DECOMPOSE_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -117,12 +121,23 @@ class StripingGeometry:
         """Performance-class index of a server."""
         return self._check_server(server_id)[2]
 
+    @cached_property
+    def _shapes(self) -> dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]]:
+        """Memo of :meth:`decompose`'s per-server shape (see there)."""
+        return {}
+
     def decompose(self, offset: int, size: int) -> list[SubRequest]:
         """Split logical request ``[offset, offset+size)`` into sub-requests.
 
         Returns one :class:`SubRequest` per touched server, ordered by server
         id. The sub-request sizes always sum to ``size`` and each is a single
         contiguous extent in the server's local file.
+
+        Shifting a request by whole rounds shifts each server's extent by
+        whole windows and changes nothing else, so the per-server shape is
+        memoized on ``(offset mod S, size)`` and shifted by ``q·w`` for
+        ``q = offset // S``, which is exact. The memo holds at most
+        ``DECOMPOSE_MEMO_SIZE`` shapes and starts over when full.
         """
         if offset < 0:
             raise ValueError(f"offset must be >= 0, got {offset}")
@@ -130,21 +145,34 @@ class StripingGeometry:
             raise ValueError(f"size must be >= 0, got {size}")
         if size == 0:
             return []
-        S = self.round_size
-        full_start, rem_start = divmod(offset, S)
-        full_end, rem_end = divmod(offset + size, S)
-        subs: list[SubRequest] = []
-        append = subs.append
+        rounds, rem = divmod(offset, self.round_size)
+        shapes = self._shapes
+        key = (rem, size)
+        shape = shapes.get(key)
+        if shape is None:
+            if len(shapes) >= DECOMPOSE_MEMO_SIZE:
+                shapes.clear()
+            shape = shapes[key] = self._shape(rem, size)
+        return [
+            SubRequest(server_id=server_id, offset=rounds * w + start, size=n)
+            for server_id, w, start, n in shape
+        ]
+
+    def _shape(self, rem: int, size: int) -> tuple[tuple[int, int, int, int], ...]:
+        """``(server, window width, extent start, extent size)`` per touched
+        server for a request starting ``rem`` bytes into round 0."""
+        full_end, rem_end = divmod(rem + size, self.round_size)
+        shape = []
         for server_id, (a, w, _) in enumerate(self._windows):
             if w == 0:
                 continue
-            rel = rem_start - a
-            p_start = full_start * w + (0 if rel < 0 else (w if rel > w else rel))
+            rel = rem - a
+            p_start = 0 if rel < 0 else (w if rel > w else rel)
             rel = rem_end - a
             p_end = full_end * w + (0 if rel < 0 else (w if rel > w else rel))
             if p_end > p_start:
-                append(SubRequest(server_id=server_id, offset=p_start, size=p_end - p_start))
-        return subs
+                shape.append((server_id, w, p_start, p_end - p_start))
+        return tuple(shape)
 
     def critical_params_per_class(self, offset: int, size: int) -> list[tuple[int, int]]:
         """Per-class ``(largest sub-request, servers touched)`` for one request.

@@ -2,7 +2,10 @@
 
 The execution model:
 
-- :class:`Simulator` owns a binary heap of ``(time, sequence, event)``.
+- :class:`Simulator` owns a binary heap of ``(time, sequence, event)`` for
+  events due later, and a FIFO ready queue for events due now (zero-delay
+  events: process bootstraps, resource grants, completions). Dispatch
+  follows ``(time, sequence)`` order across both; see :meth:`Simulator.run`.
 - An :class:`Event` is a one-shot occurrence with a value and callbacks.
 - A :class:`Process` wraps a generator. Each ``yield``ed event registers the
   process as a callback; when the event fires, the generator is resumed with
@@ -14,7 +17,9 @@ Time is a float in **seconds** everywhere in this library.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Callable, Generator, Iterable
+from types import GeneratorType
 from typing import Any
 
 _heappush = heapq.heappush
@@ -94,6 +99,8 @@ class Event:
         """Trigger the event successfully after ``delay`` (default: now)."""
         if self._triggered:
             raise SimulationError("event already triggered")
+        if not delay >= 0:  # Also rejects NaN.
+            raise ValueError(f"event delay must be >= 0, got {delay}")
         self._triggered = True
         self._value = value
         self.sim._schedule(self, delay)
@@ -105,6 +112,8 @@ class Event:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if not delay >= 0:
+            raise ValueError(f"event delay must be >= 0, got {delay}")
         self._triggered = True
         self._exception = exception
         self.sim._schedule(self, delay)
@@ -118,7 +127,7 @@ class Event:
     def cancel(self) -> None:
         """Lazily cancel a scheduled event: its callbacks never run.
 
-        The heap entry stays in place (removing from the middle of a binary
+        The queue entry stays in place (removing from the middle of a binary
         heap is O(n)); the run loop discards the event at its pop time
         instead of dispatching it. Time still advances to the event's
         timestamp exactly as before — cancellation suppresses *effects*, not
@@ -149,12 +158,18 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # Also rejects NaN, which would drop the event.
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._triggered = True
+        # The slots are set here rather than through Event.__init__: one
+        # timeout per disk and NIC stage makes this a hot constructor.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._exception = None
+        self._triggered = True
+        self._processed = False
+        self._cancelled = False
+        self.delay = delay
         sim._schedule(self, delay)
 
 
@@ -172,15 +187,21 @@ class Process(Event):
     per-process cost.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "qos")
+    __slots__ = ("generator", "name", "qos")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str | None = None):
-        if not isinstance(generator, Generator):
+        if type(generator) is not GeneratorType and not isinstance(generator, Generator):
             raise TypeError(f"Process requires a generator, got {type(generator).__name__}")
-        super().__init__(sim)
+        # Slots set directly, as in Timeout: one process per sub-request.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._exception = None
+        self._triggered = False
+        self._processed = False
+        self._cancelled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Event | None = None
         # Kick-start on the next tick at current time.
         bootstrap = Event(sim)
         bootstrap.callbacks.append(self._resume)
@@ -205,8 +226,6 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         if self._triggered:
             return  # Finished in the meantime (e.g. interrupted then joined).
-        # Detach from whatever we were waiting on; the trigger fired.
-        self._waiting_on = None
         sim = self.sim
         sim._active_process = self
         try:
@@ -232,7 +251,6 @@ class Process(Event):
             )
         if target.sim is not sim:
             raise SimulationError("cannot wait on an event from a different simulator")
-        self._waiting_on = target
         # Inlined target.add_callback(self._resume): this is the hottest
         # edge in the event loop (every yield of every process lands here).
         callbacks = target.callbacks
@@ -281,16 +299,19 @@ class AnyOf(Event):
         self._events = list(events)
         if not self._events:
             raise ValueError("AnyOf requires at least one event")
-        for index, event in enumerate(self._events):
-            event.add_callback(lambda ev, i=index: self._on_child(i, ev))
+        on_child = self._on_child
+        for event in self._events:
+            event.add_callback(on_child)
 
-    def _on_child(self, index: int, event: Event) -> None:
+    def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
         if event._exception is not None:
             self.fail(event._exception)
         else:
-            self.succeed((index, event._value))
+            # The first child to fire wins; if one event is listed twice,
+            # its first position is the index reported.
+            self.succeed((self._events.index(event), event._value))
 
 
 class Simulator:
@@ -307,13 +328,20 @@ class Simulator:
         proc = sim.process(worker())
         sim.run()
         assert sim.now == 1.5 and proc.value == "done"
+
+    Events due later wait on a binary heap of ``(time, sequence, event)``;
+    events due at the current time wait in a FIFO ready queue, which costs
+    one deque append and pop instead of a heap push and pop. Dispatch order
+    is the heap-only kernel's ``(time, sequence)`` order exactly (see
+    :meth:`run`), so moving an event between the two changes no result.
     """
 
-    __slots__ = ("_now", "_heap", "_sequence", "_active_process", "tracer")
+    __slots__ = ("_now", "_heap", "_ready", "_sequence", "_active_process", "tracer")
 
     def __init__(self):
         self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
+        self._ready: deque[Event] = deque()
         self._sequence = 0
         self._active_process: Process | None = None
         #: Optional observability hook (see :mod:`repro.obs`). When None —
@@ -335,7 +363,12 @@ class Simulator:
     def _schedule(self, event: Event, delay: float) -> None:
         sequence = self._sequence
         self._sequence = sequence + 1
-        _heappush(self._heap, (self._now + delay, sequence, event))
+        now = self._now
+        time = now + delay
+        if time == now:
+            self._ready.append(event)
+        else:
+            _heappush(self._heap, (time, sequence, event))
 
     def schedule_many(
         self,
@@ -354,6 +387,7 @@ class Simulator:
         round-trip that would perturb float-exact completion times.
         """
         heap = self._heap
+        ready = self._ready
         sequence = self._sequence
         now = self._now
         staged: list[tuple[float, int, Event]] = []
@@ -361,13 +395,16 @@ class Simulator:
             if event._triggered:
                 raise SimulationError("event already triggered")
             time = float(when) if absolute else now + when
-            if time < now:
+            if not time >= now:
                 raise SimulationError(
-                    f"cannot schedule into the past: {time} < now {now}"
+                    f"cannot schedule at {time}: in the past (now {now}) or NaN"
                 )
             event._triggered = True
             event._value = value
-            staged.append((time, sequence, event))
+            if time == now:
+                ready.append(event)
+            else:
+                staged.append((time, sequence, event))
             sequence += 1
         self._sequence = sequence
         if len(staged) > 8:
@@ -401,8 +438,24 @@ class Simulator:
 
     # -- main loop --------------------------------------------------------
 
+    def _advance(self) -> Event:
+        """Move the clock to the heap's next time; returns its first event.
+
+        Every other heap entry due at that same time moves to the (empty)
+        ready queue, in sequence order, ahead of anything their callbacks
+        schedule. Only :meth:`step` calls this; :meth:`run` inlines it.
+        """
+        heap = self._heap
+        now, _, event = _heappop(heap)
+        self._now = now
+        while heap and heap[0][0] == now:
+            self._ready.append(_heappop(heap)[2])
+        return event
+
     def step(self) -> None:
-        """Process a single event from the heap.
+        """Process a single event: the next one in ``(time, sequence)`` order.
+
+        Raises :class:`SimulationError` when no event is pending.
 
         Failure-propagation contract (shared with :meth:`run`): an event
         that was *failed* — a process whose generator raised, or any plain
@@ -416,8 +469,12 @@ class Simulator:
         e.g. a waiting process or an ``AllOf``/``AnyOf`` composite) are
         delivered to the waiters instead and never re-raise here.
         """
-        time, _, event = _heappop(self._heap)
-        self._now = time
+        if self._ready:
+            event = self._ready.popleft()
+        elif self._heap:
+            event = self._advance()
+        else:
+            raise SimulationError("step() called with no events pending")
         if self.tracer is not None:
             self.tracer.events_dispatched += 1
         if event._cancelled:
@@ -434,7 +491,7 @@ class Simulator:
             raise event._exception
 
     def run(self, until: float | Event | None = None) -> Any:
-        """Run until the heap empties, ``until`` time passes, or event fires.
+        """Run until no event is pending, ``until`` time passes, or event fires.
 
         Returns the event's value when ``until`` is an event. Exceptions
         from *unjoined* failures propagate out of ``run`` under the same
@@ -446,6 +503,17 @@ class Simulator:
         silently; waiting on an event (directly, or through ``all_of`` /
         ``any_of``) takes ownership of its failure instead.
 
+        Dispatch order. The ready queue is drained before the clock moves
+        on, and the clock moves only by popping the heap. When it moves to
+        time ``t``, every other heap entry due at ``t`` joins the (empty)
+        ready queue in sequence order. Those entries were all scheduled
+        before the clock reached ``t``, so their sequence numbers are below
+        that of any event scheduled at ``t``. An event scheduled at ``t``
+        and due at ``t`` is appended to the ready queue after them; one due
+        later goes on the heap. The ready queue is therefore always in
+        sequence order, and dispatch follows exactly the ``(time,
+        sequence)`` order of a kernel that keeps every event on the heap.
+
         The loop bodies inline :meth:`step` (callback dispatch plus the
         unjoined-failure check) with everything bound to locals: this
         is the innermost loop of every experiment, executed once per
@@ -453,25 +521,33 @@ class Simulator:
         delegating to ``step()`` costs ~25% of total simulation time.
         """
         heap = self._heap
+        ready = self._ready
         pop = _heappop
+        popleft = ready.popleft
+        append = ready.append
         # Observability: rather than touching the tracer per event (which
         # would tax the hot loop even when idle), the dispatched-event count
         # is derived on exit — every scheduled event gets a sequence number,
-        # so pops == (new sequences) + (heap shrinkage).
+        # so pops == (new sequences) + (shrinkage of heap and ready queue).
         tracer = self.tracer
         if tracer is not None:
             sequence_start = self._sequence
-            pending_start = len(heap)
+            pending_start = len(heap) + len(ready)
         try:
             if isinstance(until, Event):
                 stop_event = until
                 while not stop_event._processed:
-                    if not heap:
+                    if ready:
+                        event = popleft()
+                    elif heap:
+                        now, _, event = pop(heap)
+                        self._now = now
+                        while heap and heap[0][0] == now:
+                            append(pop(heap)[2])
+                    else:
                         raise SimulationError(
                             "simulation ran out of events before the awaited event fired (deadlock?)"
                         )
-                    time, _, event = pop(heap)
-                    self._now = time
                     if event._cancelled:
                         event.callbacks = None
                         event._processed = True
@@ -489,9 +565,19 @@ class Simulator:
                         raise event._exception
                 return stop_event.value
             horizon = float("inf") if until is None else float(until)
-            while heap and heap[0][0] <= horizon:
-                time, _, event = pop(heap)
-                self._now = time
+            if self._now > horizon:
+                # Nothing is due by ``until``: not even the ready queue.
+                return None
+            while True:
+                if ready:
+                    event = popleft()
+                elif heap and heap[0][0] <= horizon:
+                    now, _, event = pop(heap)
+                    self._now = now
+                    while heap and heap[0][0] == now:
+                        append(pop(heap)[2])
+                else:
+                    break
                 if event._cancelled:
                     event.callbacks = None
                     event._processed = True
@@ -513,5 +599,5 @@ class Simulator:
         finally:
             if tracer is not None:
                 tracer.events_dispatched += (
-                    self._sequence - sequence_start + pending_start - len(heap)
+                    self._sequence - sequence_start + pending_start - len(heap) - len(ready)
                 )

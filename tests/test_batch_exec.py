@@ -265,6 +265,17 @@ class TestFallbackMatrix:
         sim.run(handle.request_batch(self.BATCH))
         assert pfs.batch_fallbacks == {"simulator-busy": 1}
 
+    def test_pending_zero_delay_events_block(self):
+        """Events due now wait in the ready queue, not on the heap."""
+        sim, pfs, handle = self._cluster()
+        fired = []
+        sim.event().succeed().add_callback(lambda _: fired.append(sim.now))
+        assert not sim._heap
+        assert fast_path_blocker(handle) == "simulator-busy"
+        sim.run(handle.request_batch(self.BATCH))
+        assert pfs.batch_fallbacks == {"simulator-busy": 1}
+        assert fired == [0.0]
+
     def test_fault_injector_blocks(self):
         from repro.faults.injector import FaultInjector
         from repro.faults.schedule import FaultSchedule, ServerCrash
