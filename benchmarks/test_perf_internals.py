@@ -220,7 +220,7 @@ def test_perf_pfs_write_path_rebuild_disabled(benchmark, request):
     data path must not pay for the durability layer it carries.
 
     The hooks are slot tests per request (``rebuild is None``,
-    ``write_quorum is None``, empty ``replica_overrides``), so this bench
+    ``write_quorum is None``, empty ``placement.overrides``), so this bench
     must track the faults-disabled bench — both reduce to the identical
     pre-hook request loop. Bounded against that bench's committed mean so
     a durability hook that starts dict-probing or spawning on the
@@ -234,7 +234,7 @@ def test_perf_pfs_write_path_rebuild_disabled(benchmark, request):
         procs = [handle.write(i * 256 * KiB, 256 * KiB) for i in range(64)]
         sim.run(sim.all_of(procs))
         assert pfs.rebuild is None and pfs.write_quorum is None
-        assert not pfs.replica_overrides  # Hooks never engaged.
+        assert not pfs.placement.overrides  # Hooks never engaged.
         return sim.now
 
     result = benchmark(run)

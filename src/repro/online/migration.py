@@ -19,6 +19,7 @@ from repro.online.pacing import check_pacing, duty_cycle_idle
 from repro.pfs.filesystem import ParallelFileSystem, PFSFile
 from repro.pfs.health import ServerUnavailable
 from repro.pfs.layout import LayoutPolicy
+from repro.pfs.placement import extent_namespace
 from repro.util.units import MiB
 
 
@@ -133,7 +134,7 @@ class RegionMigrator:
                     # release its extents so abort/retry cycles reuse the
                     # space instead of leaking simulated capacity forever.
                     stats.extents_released = self.pfs.free_extents(
-                        f"{self.file_name}#g{new_generation}"
+                        extent_namespace(self.file_name, new_generation)
                     )
                     raise MigrationAborted(
                         f"migration of {self.file_name!r} aborted at offset {cursor} "

@@ -9,8 +9,8 @@ arrays do (arXiv:1510.04868): it reacts to
 :meth:`~repro.pfs.filesystem.ParallelFileSystem.fail_server` by enumerating
 the victim's placements from the extent table (the simulation's placement
 metadata), re-replicates each stripe column from a surviving copy onto a
-class-aware live target, and installs the new location as a
-``replica_overrides`` entry — journaled two-phase
+class-aware live target, and installs the new location as a placement
+override (:mod:`repro.pfs.placement`) — journaled two-phase
 (``rebuild_begin``/``rebuild_commit``) through the metadata WAL, so a crash
 mid-copy recovers with the *old* sites and the half-written extent is
 garbage, never a committed location.
@@ -36,7 +36,6 @@ and no RNG is involved — rebuild runs are bit-identical serial or under
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass, field
@@ -47,11 +46,8 @@ from repro.pfs.filesystem import ParallelFileSystem
 from repro.pfs.health import ServerUnavailable
 from repro.pfs.integrity import IntegrityError
 from repro.pfs.mds_cluster import MetadataUnavailable
+from repro.pfs.placement import Placement, extent_key, parse_extent_key, parse_namespace
 from repro.util.units import MiB
-
-_REBUILT_NS = re.compile(r"^(?P<base>.*)~r(?P<copy>[0-9]+)~b(?P<src>[0-9]+)$")
-_REPLICA_NS = re.compile(r"^(?P<base>.*)~r(?P<copy>[0-9]+)$")
-_EXTENT_NS = re.compile(r"^(?P<name>.*)#g(?P<generation>[0-9]+)$")
 
 
 class DataLossError(RuntimeError):
@@ -67,16 +63,6 @@ class DataLossError(RuntimeError):
     def __init__(self, message: str, lost_bytes: int = 0):
         super().__init__(message)
         self.lost_bytes = int(lost_bytes)
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Copy ``copy`` of the stripe column config-server ``server`` owns."""
-
-    extent_ns: str
-    region_id: int
-    server: int
-    copy: int
 
 
 @dataclass(frozen=True)
@@ -234,29 +220,27 @@ class RebuildManager:
 
     # -- placement resolution ----------------------------------------------
 
-    def _natural_home(self, placement: Placement) -> int:
-        if placement.copy == 0:
-            return placement.server
-        return self.pfs.replica_target(placement.server, placement.copy)
-
     def _column_copies(self, placement: Placement) -> int:
         """Replica count of the placement's region, or 0 if it went stale."""
-        match = _EXTENT_NS.match(placement.extent_ns)
-        if match is None:
+        parsed = parse_namespace(placement.extent_ns)
+        if parsed is None:
             return 0
-        handle = self.pfs._files.get(match.group("name"))
-        if handle is None or handle.layout_generation != int(match.group("generation")):
+        name, generation = parsed
+        handle = self.pfs._files.get(name)
+        if handle is None or handle.layout_generation != generation:
             return 0
         copies = handle.layout.replica_count(placement.region_id)
         return copies if placement.copy < copies else 0
 
-    def _copy_extent(self, placement: Placement, copy: int):
-        """Current ``(server, base)`` of one copy's extent, or None if absent."""
-        target, ns = self.pfs.replica_extent(
-            placement.extent_ns, placement.region_id, placement.server, copy
-        )
-        base = self.pfs._extent_bases.get((ns, placement.region_id, target))
-        return None if base is None else (target, base)
+    def _extents(self, placement: Placement, copies: int) -> list[tuple[int, int, int]]:
+        """``(copy, server, base)`` of every existing copy of the column."""
+        ns, region_id, server, _ = placement
+        locate = self.pfs.placement.locate
+        return [
+            (copy, *located)
+            for copy in range(copies)
+            if (located := locate(ns, region_id, server, copy)) is not None
+        ]
 
     def _column_ranges(self, placement: Placement, copies: int) -> list[tuple[int, int]]:
         """Column-relative written ``(offset, size)`` runs of the placement.
@@ -269,11 +253,7 @@ class RebuildManager:
         overshoot onto sibling columns' offsets, a conservative (never
         lossy) approximation.
         """
-        for copy in range(copies):
-            located = self._copy_extent(placement, copy)
-            if located is None:
-                continue
-            server_id, base = located
+        for _, server_id, base in self._extents(placement, copies):
             checks = self.pfs.servers[server_id].checksums
             if checks is None:
                 continue
@@ -286,17 +266,12 @@ class RebuildManager:
         self, placement: Placement, copies: int, exclude: int | None = None
     ) -> list[tuple[int, int]]:
         """Copies of the column on live servers with an extent, in copy order."""
-        health = self.pfs.health
-        sources = []
-        for copy in range(copies):
-            located = self._copy_extent(placement, copy)
-            if located is None:
-                continue
-            server_id, _ = located
-            if server_id == exclude or not health.is_alive(server_id):
-                continue
-            sources.append(located)
-        return sources
+        alive = self.pfs.health.is_alive
+        return [
+            (server_id, base)
+            for _, server_id, base in self._extents(placement, copies)
+            if server_id != exclude and alive(server_id)
+        ]
 
     def _pick_target(self, placement: Placement, copies: int) -> tuple[int, str, bool] | None:
         """Choose a live target: ``(server, extent_ns, natural)``, or None.
@@ -309,20 +284,14 @@ class RebuildManager:
         """
         pfs = self.pfs
         health = pfs.health
-        natural = self._natural_home(placement)
-        if placement.copy == 0:
-            natural_ns = placement.extent_ns
-        else:
-            natural_ns = f"{placement.extent_ns}~r{placement.copy}"
+        natural = pfs.placement.natural_home(placement.server, placement.copy)
         if health.is_alive(natural):
-            return natural, natural_ns, True
-        holders = set()
-        for copy in range(copies):
-            if copy == placement.copy:
-                continue
-            located = self._copy_extent(placement, copy)
-            if located is not None:
-                holders.add(located[0])
+            return natural, extent_key(placement.extent_ns, placement.copy), True
+        holders = {
+            server_id
+            for copy, server_id, _ in self._extents(placement, copies)
+            if copy != placement.copy
+        }
         cls = health.class_of(natural)
         same = [
             s
@@ -338,11 +307,8 @@ class RebuildManager:
             if pool:
                 cursor = self._target_cursor.get(pool_cls, 0)
                 self._target_cursor[pool_cls] = cursor + 1
-                target = pool[cursor % len(pool)]
-                rebuilt_ns = (
-                    f"{placement.extent_ns}~r{placement.copy}~b{placement.server}"
-                )
-                return target, rebuilt_ns, False
+                rebuilt = extent_key(placement.extent_ns, placement.copy, placement.server)
+                return pool[cursor % len(pool)], rebuilt, False
         return None
 
     # -- intake -------------------------------------------------------------
@@ -410,27 +376,17 @@ class RebuildManager:
         out: list[tuple[Placement, int]] = []
         seen: set[Placement] = set()
         pfs = self.pfs
-        for namespace, region_id, server_id in sorted(pfs._extent_bases):
+        for key, region_id, server_id in sorted(pfs._extent_bases):
             if server_id != victim:
                 continue
-            rebuilt = _REBUILT_NS.match(namespace)
-            replica = None if rebuilt is not None else _REPLICA_NS.match(namespace)
-            if rebuilt is not None:
+            namespace, copy, born_on = parse_extent_key(key)
+            if born_on is not None:
+                candidates = [Placement(namespace, region_id, born_on, copy)]
+            elif copy:
                 candidates = [
-                    Placement(
-                        rebuilt.group("base"),
-                        region_id,
-                        int(rebuilt.group("src")),
-                        int(rebuilt.group("copy")),
-                    )
-                ]
-            elif replica is not None:
-                base_ns = replica.group("base")
-                copy = int(replica.group("copy"))
-                candidates = [
-                    Placement(base_ns, region_id, s, copy)
+                    Placement(namespace, region_id, s, copy)
                     for s in range(pfs.n_servers)
-                    if pfs.replica_extent(base_ns, region_id, s, copy)[0] == victim
+                    if pfs.placement.resolve(namespace, region_id, s, copy)[0] == victim
                 ]
             else:
                 candidates = [Placement(namespace, region_id, victim, 0)]
@@ -443,7 +399,7 @@ class RebuildManager:
                     continue
                 # The candidate must actually resolve to the victim (a
                 # bucket expansion can also surface overridden placements).
-                located = self._copy_extent(placement, placement.copy)
+                located = self.pfs.placement.locate(*placement)
                 if located is None or located[0] != victim:
                     continue
                 out.append((placement, copies))
@@ -483,10 +439,11 @@ class RebuildManager:
     def _on_restore(self, server_id: int) -> None:
         """restore_server hook: backfill placements homed on the rejoiner."""
         self._integrate()
+        placement_map = self.pfs.placement
         homed = [
-            Placement(ns, region, s, copy)
-            for (ns, region, s, copy) in sorted(self.pfs.replica_overrides)
-            if self._natural_home(Placement(ns, region, s, copy)) == server_id
+            Placement(*key)
+            for key in sorted(placement_map.overrides)
+            if placement_map.natural_home(key[2], key[3]) == server_id
         ]
         if homed:
             batch_id = self._open_batch("restore")
@@ -536,18 +493,11 @@ class RebuildManager:
         MDS is recovering; the commit's override map is re-journaled by the
         next committed move.
         """
-        match = _EXTENT_NS.match(placement.extent_ns)
-        if match is None:
+        parsed = parse_namespace(placement.extent_ns)
+        if parsed is None:
             return
         try:
-            record(
-                match.group("name"),
-                int(match.group("generation")),
-                placement.region_id,
-                placement.server,
-                placement.copy,
-                **kwargs,
-            )
+            record(*parsed, placement.region_id, placement.server, placement.copy, **kwargs)
         except (FileNotFoundError, MetadataUnavailable):
             return
 
@@ -568,16 +518,10 @@ class RebuildManager:
             self._stalled.append(placement)
             return
         target, target_ns, natural = chosen
-        override_key = (
-            placement.extent_ns,
-            placement.region_id,
-            placement.server,
-            placement.copy,
-        )
         # Where the placement resolves *before* this move commits — the old
         # extent is retired on success (exclusive namespaces only; a shared
         # mirror bucket still backs sibling columns).
-        old = self._copy_extent(placement, placement.copy)
+        old = pfs.placement.locate(*placement)
         sources = self._live_sources(placement, copies, exclude=target)
         if not sources:
             if any(size > 0 for _, size in ranges):
@@ -619,38 +563,42 @@ class RebuildManager:
                     step = min(self.chunk_size, end - cursor)
                     chunk_started = sim.now
                     try:
-                        clean = yield from self._read_clean_chunk(sources, cursor, step)
-                        if clean:
+                        if (yield from self._read_clean_chunk(sources, cursor, step)):
+                            pieces = [(cursor, step)]
+                        else:
+                            pieces = yield from self._salvage_blocks(sources, cursor, step)
+                        for offset, length in pieces:
                             yield from target_server.serve(
-                                OpType.WRITE, target_base + cursor, step
+                                OpType.WRITE, target_base + offset, length
                             )
                     except ServerUnavailable:
                         # Source or target died mid-copy: journal the abort,
-                        # retire the partial target extent if it is ours
-                        # alone, and requeue — the next attempt re-selects
-                        # live endpoints (or accounts the loss).
+                        # retire the partial target extent unless it is a
+                        # mirror bucket shared with sibling columns (the
+                        # retry overwrites those bytes), and requeue — the
+                        # next attempt re-selects live endpoints (or
+                        # accounts the loss).
                         self._journal(self.pfs.mds.record_rebuild_abort, placement)
                         self.aborted_copies += 1
-                        self._abandon_partial(placement, target, target_ns, target_base)
+                        if not (natural and placement.copy):
+                            pfs.drop_extent(target_ns, placement.region_id, target)
                         if placement in self._queued:
                             self._queue.append(placement)
                         return
-                    if not clean:
-                        lost += step
-                        cursor += step
-                        continue
-                    copied += step
-                    self.chunks += 1
-                    if tracer is not None:
-                        tracer.record(
-                            chunk_started,
-                            sim.now - chunk_started,
-                            target_server.name,
-                            "write",
-                            target_base + cursor,
-                            step,
-                            "rebuild",
-                        )
+                    lost += step - sum(length for _, length in pieces)
+                    for offset, length in pieces:
+                        copied += length
+                        self.chunks += 1
+                        if tracer is not None:
+                            tracer.record(
+                                chunk_started,
+                                sim.now - chunk_started,
+                                target_server.name,
+                                "write",
+                                target_base + offset,
+                                length,
+                                "rebuild",
+                            )
                     cursor += step
                     idle = duty_cycle_idle(sim.now - chunk_started, self.duty_cycle)
                     if idle > 0:
@@ -661,13 +609,11 @@ class RebuildManager:
             self.pfs.mds.record_rebuild_commit, placement, target=target, natural=natural
         )
         if natural:
-            pfs.replica_overrides.pop(override_key, None)
+            pfs.placement.overrides.pop(placement, None)
         else:
-            pfs.replica_overrides[override_key] = target
-        if old is not None:
-            old_server, _ = old
-            if old_server != target:
-                self._retire_extent(placement, old_server)
+            pfs.placement.overrides[placement] = target
+        if old is not None and old[0] != target:
+            self._retire_extent(placement, old[0])
         self._integrate()
         self.placements_rebuilt += 1
         self.bytes_rebuilt += copied
@@ -687,7 +633,8 @@ class RebuildManager:
 
         A poisoned copy stands as an unrepairable detection, left for the
         scrubber as in read repair, and the next live copy is tried.
-        Returns False when no copy is clean.
+        Returns False when no copy is clean; the caller then salvages the
+        chunk block by block (:meth:`_salvage_blocks`).
         """
         pfs = self.pfs
         for source_id, source_base in sources:
@@ -701,33 +648,32 @@ class RebuildManager:
             return True
         return False
 
+    def _salvage_blocks(self, sources: list[tuple[int, int]], offset: int, size: int):
+        """DES generator: retry a chunk no copy verifies, block by block.
+
+        Returns the column-relative runs (adjacent blocks merged) that some
+        copy verified; the blocks left out have no clean copy anywhere.
+        """
+        block_size = self.pfs.integrity.block_size
+        clean: list[tuple[int, int]] = []
+        cursor = offset
+        end = offset + size
+        while cursor < end:
+            step = min(end, (cursor // block_size + 1) * block_size) - cursor
+            if (yield from self._read_clean_chunk(sources, cursor, step)):
+                if clean and sum(clean[-1]) == cursor:
+                    clean[-1] = (clean[-1][0], clean[-1][1] + step)
+                else:
+                    clean.append((cursor, step))
+            cursor += step
+        return clean
+
     def _retire_extent(self, placement: Placement, server_id: int) -> None:
         """Drop the placement's extent on ``server_id`` if it owns it alone."""
-        pfs = self.pfs
-        for ns in (
-            f"{placement.extent_ns}~r{placement.copy}~b{placement.server}",
-            placement.extent_ns if placement.copy == 0 else None,
-        ):
-            if ns is None:
-                continue
-            base = pfs._extent_bases.pop((ns, placement.region_id, server_id), None)
-            if base is not None:
-                checks = pfs.servers[server_id].checksums
-                if checks is not None:
-                    checks.discard_range(base, pfs.EXTENT_SPACING)
-
-    def _abandon_partial(
-        self, placement: Placement, target: int, target_ns: str, target_base: int
-    ) -> None:
-        """Retire a half-copied target extent (exclusive namespaces only)."""
-        if _REPLICA_NS.match(target_ns) is not None and _REBUILT_NS.match(target_ns) is None:
-            # A shared mirror bucket also backs sibling columns; the partial
-            # bytes are simply overwritten by the retry.
-            return
-        if self.pfs._extent_bases.pop((target_ns, placement.region_id, target), None) is not None:
-            checks = self.pfs.servers[target].checksums
-            if checks is not None:
-                checks.discard_range(target_base, self.pfs.EXTENT_SPACING)
+        ns, region_id, server, copy = placement
+        self.pfs.drop_extent(extent_key(ns, copy, server), region_id, server_id)
+        if copy == 0:
+            self.pfs.drop_extent(ns, region_id, server_id)
 
     # -- draining & reporting ----------------------------------------------
 

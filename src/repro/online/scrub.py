@@ -21,7 +21,6 @@ raises out of its sweep, and never leaves a detection unaccounted:
 
 from __future__ import annotations
 
-import re
 from collections.abc import Generator
 from dataclasses import dataclass
 
@@ -30,14 +29,9 @@ from repro.online.pacing import check_pacing, duty_cycle_idle, written_runs
 from repro.pfs.filesystem import ParallelFileSystem
 from repro.pfs.health import ServerUnavailable
 from repro.pfs.integrity import IntegrityError
+from repro.pfs.placement import parse_extent_key
 from repro.simulate.engine import Process
 from repro.util.units import MiB
-
-_REPLICA_NS = re.compile(r"^(?P<base>.*)~r(?P<copy>[0-9]+)$")
-#: Rebuilt-extent namespaces (``{ns}~r{copy}~b{config_server}``), installed
-#: by :class:`repro.online.rebuild.RebuildManager`; the trailing ``~b``
-#: keeps them out of the plain-replica regex above.
-_REBUILT_NS = re.compile(r"^(?P<base>.*)~r(?P<copy>[0-9]+)~b(?P<src>[0-9]+)$")
 
 
 @dataclass
@@ -92,51 +86,33 @@ class Scrubber:
 
     # -- counterpart resolution -------------------------------------------
 
-    def _counterpart(self, namespace: str, region_id: int, server_id: int):
+    def _counterpart(self, key: str, region_id: int, server_id: int):
         """The (server_id, base) holding the other copy of an extent, or None.
 
-        A replica extent's counterpart is its primary; a primary's is the
-        first replica copy that exists. Resolution is pure bookkeeping
+        A mirror bucket's counterpart is the first primary extent whose
+        natural mirror lands in it; any other extent's is the first other
+        copy of its column that exists. Resolution is pure bookkeeping
         (extent-table lookups) — the data movement still pays full I/O.
         """
-        bases = self.pfs._extent_bases
-        rebuilt = _REBUILT_NS.match(namespace)
-        if rebuilt is not None:
-            # A rebuild-installed placement: its logical identity is copy
-            # ``copy`` of config-server ``src``'s column; the counterpart is
-            # the first *other* copy of that column that exists.
-            base_ns = rebuilt.group("base")
-            own_copy = int(rebuilt.group("copy"))
-            src = int(rebuilt.group("src"))
-            for copy in range(self.pfs.n_servers + 1):
-                if copy == own_copy:
-                    continue
-                target, ns = self.pfs.replica_extent(base_ns, region_id, src, copy)
-                base = bases.get((ns, region_id, target))
-                if base is not None:
-                    return target, base
-            return None
-        match = _REPLICA_NS.match(namespace)
-        if match is not None:
-            base_ns = match.group("base")
-            copy = int(match.group("copy"))
-            for (ns, region, primary_id), base in bases.items():
+        pfs = self.pfs
+        placement = pfs.placement
+        namespace, own_copy, born_on = parse_extent_key(key)
+        if own_copy and born_on is None:
+            for (ns, region, primary_id), base in pfs._extent_bases.items():
                 if (
-                    ns == base_ns
+                    ns == namespace
                     and region == region_id
-                    and self.pfs.replica_target(primary_id, copy) == server_id
+                    and placement.natural_home(primary_id, own_copy) == server_id
                 ):
                     return primary_id, base
             return None
-        copy = 1
-        while True:
-            target, ns = self.pfs.replica_extent(namespace, region_id, server_id, copy)
-            base = bases.get((ns, region_id, target))
-            if base is not None:
-                return target, base
-            copy += 1
-            if copy > self.pfs.n_servers:
-                return None
+        column = server_id if born_on is None else born_on
+        for copy in range(pfs.n_servers + 1):
+            if copy != own_copy:
+                located = placement.locate(namespace, region_id, column, copy)
+                if located is not None:
+                    return located
+        return None
 
     # -- sweeping ----------------------------------------------------------
 

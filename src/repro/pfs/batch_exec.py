@@ -41,8 +41,8 @@ checksum tag tables — is therefore byte-identical to spawning one process
 per request.
 
 Replication and integrity compose with the replay instead of forcing the
-general path: mirror writes are ordinary jobs in the flat table (placed by
-:meth:`ParallelFileSystem.replica_target`, extent-allocated in the same
+general path: mirror writes are ordinary jobs in the flat table (placed at
+their natural homes by :mod:`repro.pfs.placement`, extent-allocated in the same
 first-touch order), and CRC bookkeeping commits from the flat arrays after
 the timing replay (tag stamping is idempotent and order-independent, and
 with no poisoned stripe units a verification can neither mismatch nor
@@ -68,6 +68,7 @@ import numpy as np
 from repro.devices.base import OpType
 from repro.network.link import ContendedNetworkModel, NetworkModel
 from repro.pfs import columnar
+from repro.pfs.placement import extent_key, extent_namespace
 from repro.simulate.resources import Resource
 
 __all__ = ["FlatPresplit", "fast_path_blocker", "replay_batch"]
@@ -83,6 +84,21 @@ _NIC_GRANT = 4  # NIC flow slot grant firing
 _NIC_DONE = 5  # NIC transfer timeout maturing
 _DISK_GRANT = 6  # disk slot grant firing
 _DISK_DONE = 7  # disk service timeout maturing
+
+#: Request hooks the replay reproduces: mirror writes are jobs in the flat
+#: table, and QoS tags only matter to weighted-fair disks, which block on
+#: their own. Any other active hook sends the batch to the general path.
+_REPLAYED_HOOKS = frozenset({"replicated", "qos"})
+#: Blocker reason of each request hook; a hook missing here blocks under
+#: its own field name (default deny).
+_HOOK_REASONS = {
+    "retry": "retry-policy",
+    "hedge": "hedged-reads",
+    "server_map": "server-map",
+    "routed": "degraded-routing",
+    "overrides": "rebuild",
+    "quorum": "write-quorum",
+}
 
 
 @dataclass
@@ -175,12 +191,14 @@ def fast_path_blocker(handle, batch=None) -> str | None:
     scheduled or running — this also excludes installed fault injectors,
     whose timer processes sit on the heap from installation) and every
     component is in its plain, undisturbed configuration: FIFO resources
-    with no holders, waiters, or stall windows; no retry/failover policies;
-    no degraded routing or server maps; stateless network models; tracing
-    off. Replication and checksumming do *not* block — mirror writes and
-    CRC bookkeeping replay exactly — unless corruption faults have poisoned
-    stripe units, in which case a read could raise mid-flight and the full
-    repair machinery must run.
+    with no holders, waiters, or stall windows; stateless network models;
+    tracing off. The request hooks come from the handle's own
+    :meth:`~repro.pfs.filesystem.PFSFile.request_hooks`, in field order:
+    every active hook blocks unless the replay reproduces it. Replication
+    and checksumming do *not* block — mirror writes and CRC bookkeeping
+    replay exactly — unless corruption faults have poisoned stripe units,
+    in which case a read could raise mid-flight and the full repair
+    machinery must run.
 
     The metadata cluster replays as long as the ring is whole and calm:
     no armed crash interrupts, every shard alive with an idle plain
@@ -199,23 +217,14 @@ def fast_path_blocker(handle, batch=None) -> str | None:
         return "tracing"
     if sim._active_process is not None or sim._heap or sim._ready:
         return "simulator-busy"
-    if handle.retry is not None or pfs.retry is not None:
-        return "retry-policy"
-    if handle.hedge is not None:
-        return "hedged-reads"
-    if handle.server_map is not None:
-        return "server-map"
-    if pfs.health.route_map is not None:
-        return "degraded-routing"
-    if pfs.rebuild is not None or pfs.replica_overrides:
-        # A rebuild manager's failure hooks (and any committed placement
-        # overrides) change replica addressing mid-flight; only the general
-        # path resolves them.
-        return "rebuild"
-    if pfs.write_quorum is not None and handle.layout.max_replicas() > 1:
-        # Quorum-acknowledged writes detach trailing mirrors from the ack;
-        # the closed-form replay assumes fully synchronous mirroring.
-        return "write-quorum"
+    hooks = handle.request_hooks()
+    for field, value in zip(hooks._fields, hooks):
+        if field == "overrides" and pfs.rebuild is not None:
+            # An attached rebuild manager's failure hooks install overrides
+            # mid-flight; only the general path resolves them.
+            return "rebuild"
+        if value and field not in _REPLAYED_HOOKS:
+            return _HOOK_REASONS.get(field, field)
     integrity = pfs.integrity
     if integrity is not None and integrity.units_poisoned > 0:
         return "integrity-poisoned"
@@ -539,7 +548,7 @@ def _materialize(handle, batch, flat: FlatPresplit, dispatch_order) -> _JobSet:
     Reorders sub-requests into MDS-dispatch order (the order requests exit
     the MDS stage and spawn their subs; ``None`` = batch order),
     interleaves replica mirror writes after their primaries, retargets
-    them via :meth:`ParallelFileSystem.replica_target`, and assigns extent
+    them to their natural homes (:mod:`repro.pfs.placement`), and assigns extent
     bases in first-occurrence order — the exact ``_extent_base`` call
     sequence the general path would issue, so first-touch allocation
     matches.
@@ -594,9 +603,9 @@ def _materialize(handle, batch, flat: FlatPresplit, dispatch_order) -> _JobSet:
             key = server * mult + copy_no
             uniq, inv = np.unique(key, return_inverse=True)
             targets = np.empty(uniq.shape[0], dtype=np.int64)
+            natural_home = pfs.placement.natural_home
             for u, packed in enumerate(uniq.tolist()):
-                sid, copy = divmod(packed, mult)
-                targets[u] = sid if copy == 0 else pfs.replica_target(sid, copy)
+                targets[u] = natural_home(*divmod(packed, mult))
             server = targets[inv]
             n_jobs = req.shape[0]
 
@@ -609,13 +618,12 @@ def _materialize(handle, batch, flat: FlatPresplit, dispatch_order) -> _JobSet:
         key = (copy_vals * region_span + region) * pfs.n_servers + server
         uniq, first_at, inv = np.unique(key, return_index=True, return_inverse=True)
         bases = np.empty(uniq.shape[0], dtype=np.int64)
-        extent_ns = f"{handle.name}#g{handle.layout_generation}"
+        extent_ns = extent_namespace(handle.name, handle.layout_generation)
         extent_base = pfs._extent_base
         for u in np.argsort(first_at, kind="stable").tolist():
             j = int(first_at[u])
-            copy = int(copy_vals[j])
-            ns = extent_ns if copy == 0 else f"{extent_ns}~r{copy}"
-            bases[u] = extent_base(ns, int(region[j]), int(server[j]))
+            ns_key = extent_key(extent_ns, int(copy_vals[j]))
+            bases[u] = extent_base(ns_key, int(region[j]), int(server[j]))
         offset = offset + bases[inv]
 
     return _JobSet(

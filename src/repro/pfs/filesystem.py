@@ -19,9 +19,9 @@ base so positional device models see disjoint areas.
 from __future__ import annotations
 
 import bisect
-import os
 from collections.abc import Generator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +39,35 @@ from repro.pfs.integrity import (
 )
 from repro.pfs.layout import LayoutPolicy
 from repro.pfs.mds_cluster import MetadataCluster, MetadataUnavailable
+from repro.pfs.placement import (
+    PlacementMap,
+    SubPlacement,
+    extent_namespace,
+    parse_extent_key,
+)
 from repro.pfs.server import FileServer
 from repro.simulate.engine import Event, Process, Simulator
 from repro.util.rng import derive_rng
 from repro.util.units import GiB
+
+
+class RequestHooks(NamedTuple):
+    """The per-request hooks of a file, in fast-path blocker order.
+
+    :meth:`PFSFile._request_proc` reads its hooks only through
+    :meth:`PFSFile.request_hooks`, and
+    :func:`repro.pfs.batch_exec.fast_path_blocker` walks the same fields,
+    so a hook added here blocks the batched replay until it is taught it.
+    """
+
+    retry: object
+    hedge: object
+    server_map: tuple[int, ...] | None
+    routed: bool
+    overrides: dict
+    quorum: int | None
+    replicated: bool
+    qos: tuple | None
 
 
 class PFSFile:
@@ -211,9 +236,8 @@ class PFSFile:
         :func:`repro.pfs.batch_exec.fast_path_blocker`) — the batch is
         served by the arithmetic replay fast path, byte-identical to the
         general path but without per-request process machinery. Otherwise
-        (or with ``force_general=True``, or ``REPRO_BATCH_FAST=0`` in the
-        environment) it spawns one process per request, each served
-        exactly like :meth:`request` at its issue instant.
+        (or with ``force_general=True``) it spawns one process per request,
+        each served exactly like :meth:`request` at its issue instant.
 
         Typical use drains the whole batch: ``sim.run(handle.request_batch(b))``.
         """
@@ -222,12 +246,7 @@ class PFSFile:
         sim = self.pfs.sim
         stats = self.pfs.batch_stats
         n = len(batch)
-        if force_general:
-            reason = "forced"
-        elif os.environ.get("REPRO_BATCH_FAST", "1") == "0":
-            reason = "disabled"
-        else:
-            reason = fast_path_blocker(self, batch)
+        reason = "forced" if force_general else fast_path_blocker(self, batch)
         done = sim.event()
         if reason is None:
             flat = self._presplit_flat(batch)
@@ -284,91 +303,83 @@ class PFSFile:
         """
         yield from self._request_proc(OpType.parse(op), offset, size)
 
+    def request_hooks(self) -> RequestHooks:
+        """The hooks one request reads, snapshotted once per request."""
+        pfs = self.pfs
+        retry = self.retry if self.retry is not None else pfs.retry
+        routed = pfs.health.route_map is not None
+        if self.failfast:
+            # Dead targets raise from FileServer.serve at dispatch instead
+            # of being routed around (migration shadows must not fail over).
+            retry, routed = None, False
+        replicated = self._replicated
+        return RequestHooks(
+            retry,
+            self.hedge,
+            self.server_map,
+            routed,
+            pfs.placement.overrides,
+            pfs.write_quorum if replicated else None,
+            replicated,
+            self.qos,
+        )
+
     def _request_proc(self, op: OpType, offset: int, size: int) -> Generator:
-        sim = self.pfs.sim
+        pfs = self.pfs
+        sim = pfs.sim
         started = sim.now
         # Metadata lookup (RST consult under HARL) sits on the critical path
         # and contends with other clients at the MDS — unless the client's
         # layout cache holds a current-generation entry.
-        cache = self.pfs.mds_cache
+        cache = pfs.mds_cache
         if cache is None:
-            yield from self.pfs.mds.consult(self.layout, self.name)
+            yield from pfs.mds.consult(self.layout, self.name)
         else:
             yield from cache.lookup(self)
         sub_procs = []
-        extent_ns = f"{self.name}#g{self.layout_generation}"
-        # Resilience hooks. All three stay inert (None) in fault-free runs,
-        # so the fast path below is byte-identical to a build without them.
-        health = self.pfs.health
-        retry = self.retry if self.retry is not None else self.pfs.retry
-        server_map = self.server_map
-        routed = health.route_map is not None
-        if self.failfast:
-            # Dead targets raise from FileServer.serve at dispatch instead
-            # of being routed around (migration shadows must not fail over).
-            retry = None
-            routed = False
-        replicated = self._replicated
-        hedge = self.hedge
-        qos = self.qos
-        overrides = self.pfs.replica_overrides
-        quorum = self.pfs.write_quorum
+        extent_ns = extent_namespace(self.name, self.layout_generation)
+        # Every hook stays inert in fault-free runs, so the path below is
+        # byte-identical to a build without them.
+        retry, hedge, server_map, routed, overrides, quorum, replicated, qos = (
+            self.request_hooks()
+        )
+        health = pfs.health
+        placement = pfs.placement
         for segment in self.layout.segments(offset, size):
-            copies = self.layout.replica_count(segment.region_id) if replicated else 1
+            region_id = segment.region_id
+            copies = self.layout.replica_count(region_id) if replicated else 1
             for sub in segment.config.decompose(segment.offset - segment.region_base, segment.size):
                 server_id = sub.server_id if server_map is None else server_map[sub.server_id]
-                # ``config_id`` keys the placement's logical identity for
-                # rebuild overrides; it stays None while no override exists
-                # so the historical (post-route) replica addressing below is
-                # untouched in rebuild-off runs.
-                config_id = None
-                sub_ns = extent_ns
+                # Copies >= 1 are addressed from the config server while
+                # overrides exist, else from the routed server (PlacementMap).
+                anchor = server_id
+                key = extent_ns
                 if overrides:
-                    config_id = server_id
-                    override = overrides.get((extent_ns, segment.region_id, server_id, 0))
-                    if override is not None:
-                        server_id = override
-                        sub_ns = f"{extent_ns}~r0~b{config_id}"
+                    server_id, key = placement.resolve(extent_ns, region_id, anchor, 0)
                 if routed:
                     try:
                         server_id = health.route(server_id)
                     except ServerUnavailable:
                         health.exhausted += 1
                         raise
-                server = self.pfs.servers[server_id]
-                base = self.pfs._extent_base(sub_ns, segment.region_id, server_id)
+                if not overrides:
+                    anchor = server_id
+                server = pfs.servers[server_id]
+                physical = pfs._extent_base(key, region_id, server_id) + sub.offset
+                if copies > 1:
+                    column = SubPlacement(
+                        extent_ns, region_id, anchor, sub.offset, sub.size, copies,
+                        server_id, physical,
+                    )
                 if copies > 1 and op is OpType.READ:
                     if hedge is not None:
-                        generator = hedge.serve_read(
-                            self,
-                            server_id,
-                            base + sub.offset,
-                            sub.size,
-                            extent_ns,
-                            segment.region_id,
-                            sub.offset,
-                            copies,
-                            retry,
-                            config_id=config_id,
-                        )
+                        generator = hedge.serve_read(self, column, retry)
                     else:
-                        generator = self._serve_repairing(
-                            server_id,
-                            base + sub.offset,
-                            sub.size,
-                            extent_ns,
-                            segment.region_id,
-                            sub.offset,
-                            copies,
-                            retry,
-                            config_id=config_id,
-                        )
+                        generator = self._serve_repairing(column, retry)
                 elif retry is None:
-                    generator = server.serve(op, base + sub.offset, sub.size)
+                    generator = server.serve(op, physical, sub.size)
                 else:
-                    generator = self._serve_resilient(
-                        op, server_id, base + sub.offset, sub.size, retry
-                    )
+                    generator = self._serve_resilient(op, server_id, physical, sub.size, retry)
                 proc = sim.process(generator, name=f"{server.name}<-{self.name}")
                 if qos is not None:
                     proc.qos = qos
@@ -381,37 +392,25 @@ class PFSFile:
                     # gate the ack; trailing mirrors run asynchronously and a
                     # crash inside the window is the rebuild manager's to
                     # close, not the client's to observe.
-                    acct = self.pfs.integrity
+                    acct = pfs.integrity
                     sync_copies = copies if quorum is None else min(quorum, copies)
                     for copy in range(1, copies):
-                        if config_id is not None:
-                            target, rns = self.pfs.replica_extent(
-                                extent_ns, segment.region_id, config_id, copy
-                            )
-                        else:
-                            target = self.pfs.replica_target(server_id, copy)
-                            rns = f"{extent_ns}~r{copy}"
-                        rserver = self.pfs.servers[target]
-                        rbase = self.pfs._extent_base(rns, segment.region_id, target)
+                        target, roffset = placement.copy_at(column, copy)
+                        rserver = pfs.servers[target]
                         acct.mirrored_writes += 1
-                        if copy >= sync_copies:
-                            self.pfs.quorum_stats["trailing_mirrors"] += 1
-                            tproc = sim.process(
-                                self.pfs._trailing_mirror(rserver, rbase + sub.offset, sub.size),
-                                name=f"{rserver.name}<-{self.name}~r{copy}!async",
-                            )
-                            if qos is not None:
-                                tproc.qos = qos
-                        else:
-                            rproc = sim.process(
-                                self.pfs._sync_mirror(rserver, rbase + sub.offset, sub.size),
-                                name=f"{rserver.name}<-{self.name}~r{copy}",
-                            )
-                            if qos is not None:
-                                rproc.qos = qos
-                            sub_procs.append(rproc)
+                        trailing = copy >= sync_copies
+                        if trailing:
+                            pfs.quorum_stats["trailing_mirrors"] += 1
+                        mproc = sim.process(
+                            pfs._mirror(rserver, roffset, sub.size, trailing),
+                            name=f"{rserver.name}<-{self.name}:copy{copy}",
+                        )
+                        if qos is not None:
+                            mproc.qos = qos
+                        if not trailing:
+                            sub_procs.append(mproc)
                     if copies > sync_copies:
-                        self.pfs.quorum_stats["acks"] += 1
+                        pfs.quorum_stats["acks"] += 1
         if sub_procs:
             yield sim.all_of(sub_procs)
         if op is OpType.READ:
@@ -483,18 +482,7 @@ class PFSFile:
                 yield sim.timeout(delay)
             attempt += 1
 
-    def _serve_repairing(
-        self,
-        server_id: int,
-        offset: int,
-        size: int,
-        extent_ns: str,
-        region_id: int,
-        sub_offset: int,
-        copies: int,
-        retry,
-        config_id: int | None = None,
-    ) -> Generator:
+    def _serve_repairing(self, column: SubPlacement, retry) -> Generator:
         """A replicated read: verify, and self-heal from a replica on mismatch.
 
         The primary read serves normally (including retry/failover when a
@@ -502,17 +490,17 @@ class PFSFile:
         replica copy; the first clean copy repairs the poisoned primary with
         an ordinary write — contending for the disk and NIC like any client
         — before the read completes. If every copy is corrupted the original
-        typed error propagates: never silent wrong bytes. ``config_id``
-        (set only while rebuild overrides exist) keys replica resolution by
-        the placement's logical identity instead of the post-route server.
+        typed error propagates: never silent wrong bytes.
         """
         pfs = self.pfs
-        server = pfs.servers[server_id]
+        server = pfs.servers[column.server]
         try:
             if retry is None:
-                yield from server.serve(OpType.READ, offset, size)
+                yield from server.serve(OpType.READ, column.offset, column.size)
             else:
-                yield from self._serve_resilient(OpType.READ, server_id, offset, size, retry)
+                yield from self._serve_resilient(
+                    OpType.READ, column.server, column.offset, column.size, retry
+                )
             return
         except IntegrityError as exc:
             primary_error = exc
@@ -522,19 +510,17 @@ class PFSFile:
         # sibling sub-request failed the whole fan-out) still accounts for
         # every detection and the silent_corruptions invariant holds.
         acct.unrepairable += 1
-        lookup_id = server_id if config_id is None else config_id
-        for copy in range(1, copies):
-            target, rns = pfs.replica_extent(extent_ns, region_id, lookup_id, copy)
-            rbase = pfs._extent_base(rns, region_id, target)
+        for copy in range(1, column.copies):
+            target, offset = pfs.placement.copy_at(column, copy)
             acct.replica_reads += 1
             try:
-                yield from pfs.servers[target].serve(OpType.READ, rbase + sub_offset, size)
+                yield from pfs.servers[target].serve(OpType.READ, offset, column.size)
             except IntegrityError:
                 # The copy's own detection resolves here: this path leaves it
                 # poisoned (scrubber's job), so it counts as unrepairable.
                 acct.unrepairable += 1
                 continue
-            yield from server.serve(OpType.WRITE, offset, size)
+            yield from server.serve(OpType.WRITE, column.offset, column.size)
             acct.unrepairable -= 1
             acct.repaired += 1
             return
@@ -772,7 +758,9 @@ class ParallelFileSystem:
         #: :meth:`enable_integrity` runs (corruption faults or replicated
         #: layouts turn it on), keeping integrity-off runs byte-identical.
         self.integrity: IntegrityAccounting | None = None
-        self._replica_pools: dict[int, list[int]] = {}
+        #: Where every copy of every stripe column lives (natural homes
+        #: and rebuild overrides).
+        self.placement = PlacementMap(self)
         #: Alive/dead bookkeeping + failover routing (see repro.pfs.health).
         self.health = ServerHealth(self.class_counts)
         #: Filesystem-wide default RetryPolicy; None = no timeouts/retries.
@@ -789,11 +777,6 @@ class ParallelFileSystem:
         }
         #: Fallback reason -> count for batches that took the general path.
         self.batch_fallbacks: dict[str, int] = {}
-        #: Replica-placement overrides installed by the rebuild manager:
-        #: ``(extent_ns, region_id, config_server, copy) -> physical target``.
-        #: Empty in rebuild-off runs, so the request path's only cost is one
-        #: truthiness check (see :meth:`replica_extent`).
-        self.replica_overrides: dict[tuple[str, int, int, int], int] = {}
         #: Attached :class:`repro.online.rebuild.RebuildManager`, or None.
         self.rebuild = None
         #: Quorum-acknowledged writes: ack a replicated write once this many
@@ -908,30 +891,34 @@ class ParallelFileSystem:
             self._extent_bases[key] = base
         return base
 
-    def free_extents(self, namespace: str) -> int:
-        """Release every extent of ``namespace`` (and its replica copies).
+    def drop_extent(self, key: str, region_id: int, server_id: int) -> int | None:
+        """Forget one extent and its checksum tags; returns its base or None.
 
-        ``namespace`` is the ``"{file}#g{generation}"`` extent namespace; the
-        replica namespaces ``"{namespace}~r{copy}"`` are released with it.
-        Freed bases go to per-server free lists for reuse, and any checksum
-        tags inside the released windows are dropped so a future tenant of
-        the space never inherits stale (possibly poisoned) tags. Returns the
-        number of extents released. Used by the migrator to reclaim a
-        partially written shadow generation after :class:`MigrationAborted`.
+        The base is not put back on the free list (see :meth:`free_extents`).
         """
-        prefix = namespace + "~r"
-        victims = [
-            key
-            for key in self._extent_bases
-            if key[0] == namespace or key[0].startswith(prefix)
-        ]
-        for key in victims:
-            base = self._extent_bases.pop(key)
-            server_id = key[2]
-            bisect.insort(self._extent_free.setdefault(server_id, []), base)
+        base = self._extent_bases.pop((key, region_id, server_id), None)
+        if base is not None:
             checks = self.servers[server_id].checksums
             if checks is not None:
                 checks.discard_range(base, self.EXTENT_SPACING)
+        return base
+
+    def free_extents(self, namespace: str) -> int:
+        """Release every extent of ``namespace`` and of its own copies.
+
+        ``namespace`` is a ``"{file}#g{generation}"`` extent namespace; its
+        mirror and rebuilt keys (see :mod:`repro.pfs.placement`) are
+        released with it, and no other namespace's. Freed bases go to
+        per-server free lists for reuse, and any checksum tags inside the
+        released windows are dropped so a future tenant of the space never
+        inherits stale (possibly poisoned) tags. Returns the number of
+        extents released. Used by the migrator to reclaim a partially
+        written shadow generation after :class:`MigrationAborted`.
+        """
+        victims = [key for key in self._extent_bases if parse_extent_key(key[0])[0] == namespace]
+        for key, region_id, server_id in victims:
+            base = self.drop_extent(key, region_id, server_id)
+            bisect.insort(self._extent_free.setdefault(server_id, []), base)
         return len(victims)
 
     # -- integrity & replication ------------------------------------------
@@ -958,83 +945,22 @@ class ParallelFileSystem:
             raise ValueError("region replication needs at least 2 servers")
         self.enable_integrity()
 
-    def replica_target(self, server_id: int, copy: int) -> int:
-        """Server holding replica ``copy`` (>= 1) of data primary on ``server_id``.
+    def _mirror(self, server: FileServer, offset: int, size: int, trailing: bool) -> Generator:
+        """A mirror write that counts a dead target instead of failing.
 
-        Replicas land on the *other* performance class (HDA-style: a region
-        primary on HServers mirrors to SServers and vice versa), walking the
-        class round-robin so consecutive primaries spread their copies. A
-        single-class filesystem falls back to the other servers of the same
-        class.
-        """
-        pool = self._replica_pools.get(server_id)
-        if pool is None:
-            lo = 0
-            for count in self.class_counts:
-                if lo <= server_id < lo + count:
-                    break
-                lo += count
-            pool = [i for i in range(self.n_servers) if not (lo <= i < lo + count)]
-            if not pool:
-                pool = [i for i in range(self.n_servers) if i != server_id]
-            if not pool:
-                raise ValueError("replication needs at least 2 servers")
-            self._replica_pools[server_id] = pool
-        return pool[(server_id + copy - 1) % len(pool)]
-
-    def replica_extent(
-        self, extent_ns: str, region_id: int, server_id: int, copy: int
-    ) -> tuple[int, str]:
-        """Current physical ``(server, extent namespace)`` of one placement.
-
-        A *placement* is copy ``copy`` of the stripe column that
-        config-server ``server_id`` owns in ``region_id``. Natural homes —
-        copy 0 on ``server_id`` under the plain namespace, copy >= 1 on
-        :meth:`replica_target` under ``"{ns}~r{copy}"`` — resolve exactly as
-        the historical request path did. A rebuild-installed override in
-        :attr:`replica_overrides` redirects the placement to its rebuilt
-        location under the uniform namespace ``"{ns}~r{copy}~b{server_id}"``
-        (``~b`` = "born on"), which keeps rebuilt extents exclusive per
-        placement — a rebuilt primary never aliases the target's own primary
-        extent for the same region — and still matches the ``"~r"`` prefix
-        :meth:`free_extents` releases.
-        """
-        if self.replica_overrides:
-            target = self.replica_overrides.get((extent_ns, region_id, server_id, copy))
-            if target is not None:
-                return target, f"{extent_ns}~r{copy}~b{server_id}"
-        if copy == 0:
-            return server_id, extent_ns
-        return self.replica_target(server_id, copy), f"{extent_ns}~r{copy}"
-
-    def _trailing_mirror(self, server: FileServer, offset: int, size: int) -> Generator:
-        """A quorum write's async mirror, running after the client ack.
-
-        Absorbs its own failures — the engine re-raises unobserved process
-        failures, and a crash inside the ack-to-durable window is exactly
-        the exposure the rebuild manager (not the acked client) must close —
-        so the failure is counted, never propagated.
-        """
-        try:
-            yield from server.serve(OpType.WRITE, offset, size)
-        except (ServerUnavailable, IntegrityError):
-            self.quorum_stats["window_failures"] += 1
-
-    def _sync_mirror(self, server: FileServer, offset: int, size: int) -> Generator:
-        """A synchronous mirror write that survives a dead mirror target.
-
-        The write itself must not fail — its primary copy is durable; the
-        mirror copy is simply *missing*, i.e. reduced redundancy, which is
-        the rebuild manager's to restore (from the primary's written runs)
-        rather than the client's to observe. Counted so chaos runs can
-        reconcile missing copies against rebuild volume. Fault-free runs
-        never enter the except arm, so the wrapper adds no events and
-        rebuild-off runs stay bit-identical.
+        The primary copy is durable, so a missing mirror is reduced
+        redundancy — the rebuild manager's to restore, not the client's to
+        observe (the engine would re-raise an unobserved failure). A
+        synchronous mirror counts ``mirror_failures``; a quorum write's
+        trailing mirror runs after the ack and counts ``window_failures``,
+        a crash inside the ack-to-durable window. Writes never fail
+        verification, and fault-free runs never enter the except arm, so
+        the wrapper adds no events.
         """
         try:
             yield from server.serve(OpType.WRITE, offset, size)
         except ServerUnavailable:
-            self.quorum_stats["mirror_failures"] += 1
+            self.quorum_stats["window_failures" if trailing else "mirror_failures"] += 1
 
     # -- statistics -------------------------------------------------------
 

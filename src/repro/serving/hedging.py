@@ -102,40 +102,21 @@ class HedgeScheduler:
 
     # -- read path ---------------------------------------------------------
 
-    def serve_read(
-        self,
-        handle,
-        server_id: int,
-        offset: int,
-        size: int,
-        extent_ns: str,
-        region_id: int,
-        sub_offset: int,
-        copies: int,
-        retry,
-        config_id: int | None = None,
-    ):
+    def serve_read(self, handle, column, retry):
         """Serve one replicated read sub-request (generator).
 
-        Signature mirrors ``PFSFile._serve_repairing`` plus the handle;
-        ``PFSFile._request_proc`` dispatches here when ``handle.hedge`` is
-        set and the region is replicated. ``config_id`` (set only while
-        rebuild overrides exist) keys replica resolution by the placement's
-        logical identity instead of the post-route server.
+        ``column`` is the sub-request's resolved
+        :class:`~repro.pfs.placement.SubPlacement`, as for
+        ``PFSFile._serve_repairing``; ``PFSFile._request_proc`` dispatches
+        here when ``handle.hedge`` is set and the region is replicated.
         """
         pfs = self.pfs
         sim = pfs.sim
         alive = pfs.health.alive
-        lookup_id = server_id if config_id is None else config_id
+        copies = column.copies
+        size = column.size
         # Candidate copies: (server, physical offset, copy index).
-        candidates = []
-        for copy in range(copies):
-            if copy == 0:
-                candidates.append((server_id, offset, 0))
-            else:
-                target, rns = pfs.replica_extent(extent_ns, region_id, lookup_id, copy)
-                base = pfs._extent_base(rns, region_id, target)
-                candidates.append((target, base + sub_offset, copy))
+        candidates = [(*pfs.placement.copy_at(column, copy), copy) for copy in range(copies)]
         if self.select:
             order = sorted(
                 range(copies),

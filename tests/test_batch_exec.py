@@ -236,6 +236,62 @@ class TestFastGeneralParity:
 # ---------------------------------------------------------------------------
 
 
+class _CustomNetwork(NetworkModel):
+    """A network subclass: stateful models the replay cannot mirror."""
+
+
+def _arm_retry(pfs, handle):
+    from repro.faults.retry import RetryPolicy
+
+    pfs.retry = RetryPolicy()
+
+
+def _arm_hedge(pfs, handle):
+    from repro.serving.hedging import HedgeScheduler
+
+    handle.hedge = HedgeScheduler(pfs)
+
+
+def _arm_server_map(pfs, handle):
+    handle.relayout(FixedLayout(2, 1, 64 * KiB), server_map=(1, 0, 2))
+
+
+def _arm_degraded_routing(pfs, handle):
+    pfs.fail_server(0)
+
+
+def _arm_rebuild_override(pfs, handle):
+    # Copy 0 of config server 0's column in region 0 rebuilt onto server 1.
+    pfs.placement.overrides[("f#g0", 0, 0, 0)] = 1
+
+
+def _arm_write_quorum(pfs, handle):
+    handle.relayout(FixedLayout(2, 1, 64 * KiB, replicas=2))
+    pfs.write_quorum = 1
+
+
+def _arm_poisoned_unit(pfs, handle):
+    # A poisoned block outside anything the batch touches.
+    pfs.enable_integrity()
+    checks = pfs.servers[2].checksums
+    far = 64 * pfs.EXTENT_SPACING
+    checks.record_write(far, 4 * KiB)
+    assert checks.poison_block(far // checks.block_size)
+
+
+#: case -> (blocker reason, HybridPFS.build kwargs, arm(pfs, handle)).
+_HOOK_CASES = {
+    "retry": ("retry-policy", {}, _arm_retry),
+    "hedge": ("hedged-reads", {}, _arm_hedge),
+    "server-map": ("server-map", {}, _arm_server_map),
+    "degraded-routing": ("degraded-routing", {}, _arm_degraded_routing),
+    "rebuild-override": ("rebuild", {}, _arm_rebuild_override),
+    "write-quorum": ("write-quorum", {}, _arm_write_quorum),
+    "poisoned-unit": ("integrity-poisoned", {}, _arm_poisoned_unit),
+    "custom-network": ("custom-network", {"network": _CustomNetwork()}, lambda pfs, h: None),
+}
+
+
 class TestFallbackMatrix:
     def _cluster(self, **build_kwargs):
         sim = Simulator()
@@ -302,11 +358,35 @@ class TestFallbackMatrix:
         sim.run(handle.request_batch(self.BATCH))
         assert pfs.batch_fallbacks == {"disk-scheduler": 1}
 
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_FAST", "0")
-        sim, pfs, handle = self._cluster()
-        sim.run(handle.request_batch(self.BATCH))
-        assert pfs.batch_fallbacks == {"disabled": 1}
+    @pytest.mark.parametrize("case", sorted(_HOOK_CASES))
+    def test_request_hook_blocks_and_matches_forced_general(self, case):
+        """Every request hook of ``_request_proc`` has its own blocker
+        reason, and the fallen-back run equals the same run forced general."""
+        reason, build_kwargs, arm = _HOOK_CASES[case]
+
+        def run(force_general):
+            sim = Simulator()
+            pfs = HybridPFS.build(sim, 2, 1, seed=0, **build_kwargs)
+            handle = pfs.create_file("f", FixedLayout(2, 1, 64 * KiB))
+            arm(pfs, handle)
+            if not force_general:
+                assert fast_path_blocker(handle) == reason
+                assert fast_path_blocker(handle, self.BATCH) == reason
+            done = handle.request_batch(self.BATCH, force_general=force_general)
+            sim.run(done)
+            return (
+                np.asarray(done.value),
+                sim.now,
+                sorted(pfs.server_busy_times().items()),
+                dict(pfs.batch_fallbacks),
+            )
+
+        auto = run(False)
+        forced = run(True)
+        assert auto[3] == {reason: 1}
+        assert forced[3] == {"forced": 1}
+        np.testing.assert_array_equal(auto[0], forced[0])
+        assert auto[1:3] == forced[1:3]
 
     def test_failed_server_blocks(self):
         sim, pfs, handle = self._cluster()

@@ -255,18 +255,20 @@ class TestIntegrityCLI:
         assert "0 silent" in out
 
     def test_no_replicas_hint_when_replicas_already_set(self, capsys):
-        # Every surviving copy is poisoned before hserver0 crashes, so the
-        # rebuild finds no clean source and the run fails with counted data
-        # loss; a run with three replicas must not be told to use two.
+        # Every surviving copy is poisoned before hserver0 crashes, late
+        # enough that foreground writes do not rewrite every poisoned block
+        # before the rebuild reads it, so some blocks have no clean source
+        # and the run fails with counted data loss; a run with three
+        # replicas must not be told to use two.
         poison_all = "".join(
-            f"corrupt:{name}@0.004%1.0;"
+            f"corrupt:{name}@0.02%1.0;"
             for name in ("sserver0", "sserver1", "hserver1", "hserver2", "hserver3")
         )
         code = main(
             [
                 "run-ior", "--hservers", "4", "--sservers", "2", "--processes", "4",
                 "--file-size", "2M", "--request-size", "64K", "--replicas", "3",
-                "--rebuild", "--faults", poison_all + "crash:hserver0@0.0045",
+                "--rebuild", "--faults", poison_all + "crash:hserver0@0.0205",
             ]
         )
         assert code == 1

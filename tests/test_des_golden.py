@@ -41,6 +41,7 @@ from repro.experiments.harness import Testbed, harl_plan, run_workload
 from repro.faults import FaultSchedule, RetryPolicy, parse_faults
 from repro.online import RebuildConfig
 from repro.pfs.layout import FixedLayout, RegionLevelLayout
+from repro.pfs.placement import extent_key, parse_extent_key, parse_namespace
 from repro.serving import make_scenario
 from repro.serving.frontend import simulate_scenario
 from repro.serving.tiers import TenantSpec
@@ -107,7 +108,8 @@ def _run_record(result, pfs) -> dict:
     }
 
 
-def _checkpoint(trace: bool) -> dict:
+def _checkpoint_run(trace: bool):
+    """The checkpoint run's result and the filesystem it ran on."""
     testbed = _RecordingTestbed(n_hservers=6, n_sservers=2, seed=0, mds_shards=2, mds_cache=True)
     workload = TemporalPhaseWorkload(
         [PhaseSpec(256 * KiB, 16, OpType.WRITE), PhaseSpec(64 * KiB, 64, OpType.READ)],
@@ -124,7 +126,11 @@ def _checkpoint(trace: bool) -> dict:
         rebuild=RebuildConfig(duty_cycle=0.5),
         write_quorum=1,
     )
-    return _run_record(result, testbed.pfs)
+    return result, testbed.pfs
+
+
+def _checkpoint(trace: bool) -> dict:
+    return _run_record(*_checkpoint_run(trace))
 
 
 def _serving(trace: bool) -> dict:
@@ -198,6 +204,19 @@ def test_untraced_des_run_matches_golden(golden, run):
     expected = dict(golden[run])
     expected.pop("events")
     assert record == expected
+
+
+def test_checkpoint_extent_keys_round_trip():
+    """Every extent key the checkpoint run allocated parses and re-formats
+    to itself: natural primaries, mirror buckets and rebuilt placements."""
+    _, pfs = _checkpoint_run(trace=False)
+    kinds = set()
+    for key, _, _ in pfs._extent_bases:
+        namespace, copy, born_on = parse_extent_key(key)
+        assert extent_key(namespace, copy, born_on) == key
+        assert parse_namespace(namespace) == ("shared.dat", 0)
+        kinds.add((copy > 0, born_on is not None))
+    assert kinds == {(False, False), (True, False), (False, True)}
 
 
 if __name__ == "__main__":

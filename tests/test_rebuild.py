@@ -218,6 +218,29 @@ class TestCorruptRebuildSource:
         assert " 0 silent" in out
 
 
+class TestPartialChunkLoss:
+    """One poisoned block must cost one block, not the whole rebuild chunk."""
+
+    def test_only_the_block_with_no_clean_copy_is_lost(self):
+        sim = Simulator()
+        pfs = HybridPFS.build(sim, 2, 2, seed=0)
+        manager = RebuildManager(pfs)
+        handle = pfs.create_file("f", FixedLayout(2, 2, 64 * KiB, replicas=2))
+        # 16 stripe units round-robin: server 0's column holds four
+        # contiguous 64 KiB blocks, mirrored onto server 2.
+        sim.run(sim.all_of([handle.write(i * 64 * KiB, 64 * KiB) for i in range(16)]))
+        mirror = pfs.servers[2].checksums
+        mirror_base = pfs._extent_bases[("f#g0~r1", 0, 2)]
+        assert mirror.poison_block(mirror_base // mirror.block_size + 1)
+        pfs.fail_server(0)
+        sim.run(sim.process(manager.drain()))
+        stats = manager.stats()
+        assert stats.data_lost_bytes == 64 * KiB
+        assert stats.data_loss_events == 1
+        assert stats.bytes_rebuilt == 3 * 64 * KiB + 256 * KiB
+        assert pfs.integrity.stats().silent_corruptions == 0
+
+
 class TestRejoinBackfill:
     def _write_replicated(self, sim, pfs):
         handle = pfs.create_file("f", FixedLayout(2, 2, 64 * KiB, replicas=2))
@@ -232,10 +255,10 @@ class TestRejoinBackfill:
         self._write_replicated(sim, pfs)
         pfs.fail_server(0)
         sim.run(sim.process(manager.drain()))
-        assert pfs.replica_overrides, "rebuild must relocate the victim's placements"
+        assert pfs.placement.overrides, "rebuild must relocate the victim's placements"
         pfs.restore_server(0)
         sim.run(sim.process(manager.drain()))
-        assert pfs.replica_overrides == {}, "backfill must return placements home"
+        assert pfs.placement.overrides == {}, "backfill must return placements home"
         stats = manager.stats()
         assert stats.restore_batches >= 1
         assert stats.fully_redundant
