@@ -49,11 +49,13 @@ Every command is pure-offline (simulated cluster); sizes accept suffixes
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
 
 from repro.core.planner import HARLPlanner
+from repro.core.rst import RegionStripeTable
 from repro.experiments import figures
 from repro.experiments.harness import Testbed, harl_plan, run_workload, run_workload_batched
 from repro.faults import FaultSchedule, FaultSpecError, RetryPolicy, parse_faults
@@ -90,6 +92,21 @@ def _add_testbed_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hservers", type=int, default=6, help="HDD server count (default 6)")
     parser.add_argument("--sservers", type=int, default=2, help="SSD server count (default 2)")
     parser.add_argument("--seed", type=int, default=0, help="testbed RNG seed")
+
+
+def _number(flag: str, value: float, minimum: float = 0.0, strict: bool = False) -> float:
+    """``value`` of a numeric flag, checked finite and ``>= minimum``.
+
+    ``strict`` asks for ``> minimum``. Lower-bound checks of numeric flags
+    go through here, so NaN and infinities fail with a user-facing
+    ``ValueError`` (a clean exit 2) instead of deep in a sampler or a run.
+    The ``(0, 1]`` duty-cycle checks reject both already.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be a finite number, got {value}")
+    if value < minimum or (strict and value == minimum):
+        raise ValueError(f"{flag} must be {'>' if strict else '>='} {minimum:g}, got {value}")
+    return value
 
 
 def _add_mds_args(parser: argparse.ArgumentParser) -> None:
@@ -132,6 +149,16 @@ def _add_mds_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_mds_profile(profile: str) -> None:
+    """Raise a user-facing ``ValueError`` unless ``--mds-profile`` parses."""
+    from repro.devices.profiles import MdsProfile
+
+    try:
+        MdsProfile.parse(profile)
+    except ValueError as exc:
+        raise ValueError(f"invalid --mds-profile {profile!r}: {exc}") from None
+
+
 def _mds_testbed_kwargs(args: argparse.Namespace) -> dict:
     """Validated ``Testbed`` metadata kwargs from ``--mds-*`` flags.
 
@@ -139,9 +166,7 @@ def _mds_testbed_kwargs(args: argparse.Namespace) -> dict:
     below 1 or an unparseable recovery delay — commands turn that into a
     clean exit-2 error instead of a mid-run traceback.
     """
-    shards = getattr(args, "mds_shards", 1)
-    if shards < 1:
-        raise ValueError(f"--mds-shards must be >= 1, got {shards}")
+    shards = _number("--mds-shards", getattr(args, "mds_shards", 1), 1)
     raw = getattr(args, "mds_recovery_delay", "2e-3")
     if isinstance(raw, str) and raw.strip().lower() in ("none", "off"):
         delay: float | None = None
@@ -152,16 +177,10 @@ def _mds_testbed_kwargs(args: argparse.Namespace) -> dict:
             raise ValueError(
                 f"invalid --mds-recovery-delay {raw!r}: expected seconds or 'none'"
             ) from None
-        if delay < 0:
-            raise ValueError(f"--mds-recovery-delay must be >= 0, got {raw}")
+        _number("--mds-recovery-delay", delay)
     profile = getattr(args, "mds_profile", None)
     if profile is not None:
-        from repro.devices.profiles import MdsProfile
-
-        try:
-            MdsProfile.parse(profile)
-        except ValueError as exc:
-            raise ValueError(f"invalid --mds-profile {profile!r}: {exc}") from None
+        _check_mds_profile(profile)
     return {
         "mds_shards": shards,
         "mds_routing": getattr(args, "mds_routing", "finger"),
@@ -169,6 +188,65 @@ def _mds_testbed_kwargs(args: argparse.Namespace) -> dict:
         "mds_profile": profile,
         "mds_cache": bool(getattr(args, "mds_cache", False)),
     }
+
+
+#: The fault/durability flag group. Each flag is declared here once and
+#: added to a command by name (:func:`_add_fault_args`);
+#: :func:`_fault_options` validates whichever a command has.
+_FAULT_FLAGS = {
+    "--faults": dict(
+        metavar="SPEC",
+        help="inject faults, e.g. 'crash:sserver0@0.01;hang:hserver1@0.02+0.05;"
+        "degrade:0@0.01x3+0.1;blip@0.02x2+0.1;corrupt:hserver0@0.03%%0.5' "
+        "(corrupt: events poison stored stripe units)",
+    ),
+    "--replicas": dict(
+        type=int,
+        default=1,
+        help="mirror every region N ways across the other server class "
+        "(default %(default)s; corrupted reads self-heal when > 1)",
+    ),
+    "--rebuild": dict(
+        action=argparse.BooleanOptionalAction,
+        default=False,
+        help="re-replicate regions lost to crashed servers onto survivors "
+        "(requires --replicas >= 2; exits 1 if any region loses every copy)",
+    ),
+    "--rebuild-duty-cycle": dict(
+        type=float,
+        default=1.0,
+        metavar="FRAC",
+        help="fraction of time the rebuild worker may occupy a disk "
+        "(default 1.0 = rebuild at full speed)",
+    ),
+}
+
+
+def _add_fault_args(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named flags of the fault/durability group (default: all)."""
+    for flag in flags or _FAULT_FLAGS:
+        parser.add_argument(flag, **_FAULT_FLAGS[flag])
+
+
+def _fault_options(
+    args: argparse.Namespace,
+) -> tuple[FaultSchedule | None, RebuildConfig | None]:
+    """Validated ``(faults, rebuild)`` from the fault/durability flag group.
+
+    Raises ``ValueError`` (a :class:`FaultSpecError` for bad specs) with a
+    user-facing message; commands turn it into a clean exit-2 error.
+    """
+    replicas = _number("--replicas", getattr(args, "replicas", 1), 1)
+    faults = parse_faults(args.faults) if getattr(args, "faults", None) else None
+    rebuild = getattr(args, "rebuild", False)
+    if rebuild and replicas < 2:
+        raise FaultSpecError(
+            "--rebuild needs a surviving copy to rebuild from (run with --replicas >= 2)"
+        )
+    duty_cycle = getattr(args, "rebuild_duty_cycle", 1.0)
+    if not 0.0 < duty_cycle <= 1.0:
+        raise FaultSpecError(f"--rebuild-duty-cycle must be in (0, 1], got {duty_cycle}")
+    return faults, RebuildConfig(duty_cycle=duty_cycle) if rebuild else None
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -232,14 +310,12 @@ def _resolve_layout(args: argparse.Namespace, testbed: Testbed, workload, report
     """Turn ``args.layout`` into ``(layout, label, is_harl)``.
 
     Raises :class:`LayoutSpecError` with a user-facing message for values
-    that are neither ``harl``, a random spec, nor a parseable stripe size —
+    that are neither ``harl``, a random spec, nor a positive stripe size —
     commands turn that into a clean exit-2 error instead of a traceback.
-    ``--replicas N`` (when the command defines it) mirrors every region N
-    ways; N < 1 and unsupported layout families also exit cleanly.
+    ``--replicas N`` (validated by :func:`_fault_options`) mirrors every
+    region N ways; unsupported layout families also exit cleanly.
     """
     replicas = getattr(args, "replicas", 1)
-    if replicas < 1:
-        raise LayoutSpecError(f"--replicas must be >= 1, got {replicas}")
     name = args.layout.lower()
     if name == "harl":
         rst = harl_plan(testbed, workload, report_sink=report_sink)
@@ -256,6 +332,8 @@ def _resolve_layout(args: argparse.Namespace, testbed: Testbed, workload, report
         return layout, layout.describe(), False
     try:
         stripe = parse_size(args.layout)
+        if stripe < 1:
+            raise ValueError(stripe)
     except ValueError:
         raise LayoutSpecError(
             f"invalid --layout {args.layout!r}: expected 'harl', 'random', "
@@ -387,22 +465,11 @@ def cmd_run_ior(args: argparse.Namespace) -> int:
     try:
         testbed = _testbed(args)
         workload = _ior_workload(args)
+        faults, rebuild = _fault_options(args)
+        if args.write_quorum is not None:
+            _number("--write-quorum", args.write_quorum, 1)
         layout, label, is_harl = _resolve_layout(args, testbed, workload)
-        faults = parse_faults(args.faults) if args.faults else None
-        if args.rebuild and args.replicas < 2:
-            raise FaultSpecError(
-                "--rebuild needs a surviving copy to rebuild from "
-                "(run with --replicas >= 2)"
-            )
-        if not 0.0 < args.rebuild_duty_cycle <= 1.0:
-            raise FaultSpecError(
-                f"--rebuild-duty-cycle must be in (0, 1], got {args.rebuild_duty_cycle}"
-            )
-        if args.write_quorum is not None and args.write_quorum < 1:
-            raise FaultSpecError(
-                f"--write-quorum must be >= 1, got {args.write_quorum}"
-            )
-    except (LayoutSpecError, FaultSpecError, ValueError) as exc:
+    except ValueError as exc:
         # Bad --layout/--faults/--mds-* specs and inconsistent IOR geometry
         # (file size not a whole number of requests/processes) exit cleanly.
         print(f"error: {exc}", file=sys.stderr)
@@ -410,7 +477,6 @@ def cmd_run_ior(args: argparse.Namespace) -> int:
     # Faults imply a retry policy: without one a crashed server would turn
     # every in-flight sub-request into a hard failure instead of a failover.
     retry = RetryPolicy(seed=args.seed) if faults is not None else None
-    rebuild = RebuildConfig(duty_cycle=args.rebuild_duty_cycle) if args.rebuild else None
     trace_out = getattr(args, "trace_out", None)
     try:
         result = run_workload(
@@ -493,31 +559,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         rates = [float(token) for token in args.rates.split(",") if token.strip()]
         if not rates:
             raise FaultSpecError("--rates must list at least one fault rate")
-        if any(rate < 0 for rate in rates):
-            raise FaultSpecError("--rates entries must be >= 0")
-        if args.corrupt_rate < 0:
-            raise FaultSpecError("--corrupt-rate must be >= 0")
-        if args.mds_crash_rate < 0:
-            raise FaultSpecError("--mds-crash-rate must be >= 0")
-        if args.mds_crash_rate > 0 and testbed.mds_shards < 2:
+        for rate in rates:
+            _number("--rates", rate)
+        _number("--corrupt-rate", args.corrupt_rate)
+        if _number("--mds-crash-rate", args.mds_crash_rate) > 0 and testbed.mds_shards < 2:
             # Random crashes always leave one shard standing to replay the
             # journal, so one shard would silently draw none.
             raise FaultSpecError("--mds-crash-rate needs --mds-shards >= 2")
-        if args.replicas < 1:
-            raise FaultSpecError(f"--replicas must be >= 1, got {args.replicas}")
-        if args.rebuild and args.replicas < 2:
-            raise FaultSpecError(
-                "--rebuild needs a surviving copy to rebuild from "
-                "(run with --replicas >= 2)"
-            )
-        if not 0.0 < args.rebuild_duty_cycle <= 1.0:
-            raise FaultSpecError(
-                f"--rebuild-duty-cycle must be in (0, 1], got {args.rebuild_duty_cycle}"
-            )
-        if args.restore_after is not None and args.restore_after <= 0:
-            raise FaultSpecError(
-                f"--restore-after must be > 0, got {args.restore_after}"
-            )
+        _, rebuild = _fault_options(args)
+        if args.restore_after is not None:
+            _number("--restore-after", args.restore_after, strict=True)
         harl = harl_plan(testbed, workload)
         harl_name = "HARL"
         if args.replicas > 1:
@@ -531,11 +582,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         layouts[fixed_name] = FixedLayout(
             args.hservers, args.sservers, stripe, replicas=args.replicas
         )
-    except (FaultSpecError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     retry = RetryPolicy(seed=args.seed)
-    rebuild = RebuildConfig(duty_cycle=args.rebuild_duty_cycle) if args.rebuild else None
     n_servers = args.hservers + args.sservers
     # Fault-free reference runs set the horizon for random schedules and
     # the denominator of the slowdown column.
@@ -694,28 +744,18 @@ def cmd_mds_bench(args: argparse.Namespace) -> int:
             raise ValueError("--shards must list at least one shard count")
         if any(count < 1 for count in shard_counts):
             raise ValueError(f"--shards entries must be >= 1, got {args.shards!r}")
-        if args.ops < 1:
-            raise ValueError(f"--ops must be >= 1, got {args.ops}")
-        if args.processes < 1:
-            raise ValueError(f"--processes must be >= 1, got {args.processes}")
+        _number("--ops", args.ops, 1)
+        _number("--processes", args.processes, 1)
         if args.ops % args.processes != 0:
             raise ValueError(
                 f"--ops ({args.ops}) must divide evenly over --processes "
                 f"({args.processes})"
             )
-        if args.spread < 0:
-            raise ValueError(f"--spread must be >= 0, got {args.spread}")
-        if args.assert_speedup is not None and args.assert_speedup <= 0:
-            raise ValueError(
-                f"--assert-speedup must be > 0, got {args.assert_speedup}"
-            )
+        _number("--spread", args.spread)
+        if args.assert_speedup is not None:
+            _number("--assert-speedup", args.assert_speedup, strict=True)
         profile = args.mds_profile if args.mds_profile is not None else "calibrated"
-        from repro.devices.profiles import MdsProfile
-
-        try:
-            MdsProfile.parse(profile)
-        except ValueError as exc:
-            raise ValueError(f"invalid --mds-profile {profile!r}: {exc}") from None
+        _check_mds_profile(profile)
         routings = ("linear", "finger") if args.routing == "both" else (args.routing,)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -799,16 +839,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         scenario = make_scenario(
             tenants,
             tier_config=tier_config,
-            duration=args.duration,
+            duration=_number("--duration", args.duration, strict=True),
             seed=args.seed,
             hedging=not args.no_hedging,
             fair_share=not args.no_fair_share,
             stripe=parse_size(args.stripe),
         )
-        faults = parse_faults(args.faults) if args.faults else None
-        if args.chaos:
-            if args.chaos < 0:
-                raise FaultSpecError(f"--chaos must be >= 0, got {args.chaos}")
+        faults, _ = _fault_options(args)
+        if _number("--chaos", args.chaos):
             # Degrade-heavy mix: stragglers, not outages, are what hedging
             # and tier weights are meant to absorb.
             chaos = FaultSchedule.random(
@@ -821,20 +859,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             faults = FaultSchedule(events=faults.events + chaos.events) if faults else chaos
         asserts = [_parse_p99_assert(spec) for spec in args.assert_p99]
-    except (ServingSpecError, FaultSpecError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     retry = RetryPolicy(seed=args.seed) if faults is not None else None
-    jobs_list = [ServeJob(testbed=testbed, scenario=scenario, faults=faults, retry=retry)]
+    scenarios = [scenario]
     if args.compare_hedging:
-        jobs_list.append(
-            ServeJob(
-                testbed=testbed,
-                scenario=replace(scenario, hedging=False),
-                faults=faults,
-                retry=retry,
-            )
-        )
+        scenarios.append(replace(scenario, hedging=False))
+    jobs_list = [
+        ServeJob(testbed=testbed, scenario=each, faults=faults, retry=retry)
+        for each in scenarios
+    ]
     try:
         results = run_jobs(jobs_list, jobs=args.jobs)
     except FaultSpecError as exc:
@@ -892,38 +927,27 @@ def cmd_scrub(args: argparse.Namespace) -> int:
     any corruption went silent (detected but neither repaired nor reported)
     — the invariant the integrity layer guarantees never happens.
     """
-    from repro.faults.injector import FaultInjector
-    from repro.middleware.mpi_sim import SimMPI
-    from repro.middleware.mpiio import MPIIOFile
+    from repro.experiments.harness import _ClusterRun
     from repro.online.scrub import Scrubber
-    from repro.simulate.engine import Simulator
 
     testbed = _testbed(args)
     try:
         workload = _ior_workload(args)
+        faults, _ = _fault_options(args)
         layout, label, _ = _resolve_layout(args, testbed, workload)
-        faults = parse_faults(args.faults) if args.faults else None
-        chunk_size = parse_size(args.chunk_size)
-        if chunk_size < 1:
-            raise ValueError(f"--chunk-size must be >= 1, got {args.chunk_size}")
+        chunk_size = _number("--chunk-size", parse_size(args.chunk_size), 1)
         if not (0 < args.duty_cycle <= 1):
             raise ValueError(f"--duty-cycle must be in (0, 1], got {args.duty_cycle}")
-    except (LayoutSpecError, FaultSpecError, ValueError) as exc:
+        # Unknown server names surface when the schedule binds to the PFS.
+        run = _ClusterRun(testbed, testbed.seed, trace=False, faults=faults)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sim = Simulator()
-    pfs = testbed.build(sim)
+    sim, pfs = run.sim, run.pfs
     pfs.enable_integrity()  # scrub verifies even when no faults are scheduled
-    if faults is not None:
-        try:
-            FaultInjector(sim, pfs, faults, seed=args.seed).install()
-        except FaultSpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    world = SimMPI(sim, workload.config.n_processes, network=pfs.network)
-    mf = MPIIOFile.open(world.comm, pfs, "shared.dat", layout)
-    sim.run(world.spawn(workload.rank_program(mf)))
-    write_makespan = sim.now
+    world, mf = run.open(workload.config.n_processes, layout, "shared.dat")
+    run.run(world.spawn(workload.rank_program(mf)))
+    write_makespan = run.makespan
     if faults is not None:
         # Let any corruption events scheduled past the write horizon fire.
         last = max((event.time for event in faults.events), default=0.0)
@@ -960,7 +984,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         workload = _ior_workload(args)
         layout, label, _ = _resolve_layout(args, testbed, workload, report_sink=reports)
-    except (LayoutSpecError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = run_workload(testbed, workload, layout, layout_name=label, trace=True)
@@ -1022,26 +1046,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
         trace, ReplayConfig(preserve_think_time=args.think_time)
     )
     testbed = _testbed(args)
-    name = args.layout.lower()
-    if name == "harl":
-        layout = harl_plan(testbed, workload)
-        label = "HARL"
-    else:
-        try:
-            stripe = parse_size(args.layout)
-        except ValueError:
-            print(
-                f"error: invalid --layout {args.layout!r}: expected 'harl' "
-                f"or a stripe size like '64K'",
-                file=sys.stderr,
-            )
-            return 2
-        layout = FixedLayout(args.hservers, args.sservers, stripe)
-        label = format_size(stripe)
-    if args.batched:
-        result = run_workload_batched(testbed, workload, layout, layout_name=label)
-    else:
-        result = run_workload(testbed, workload, layout, layout_name=label)
+    try:
+        layout, label, _ = _resolve_layout(args, testbed, workload)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    runner = run_workload_batched if args.batched else run_workload
+    result = runner(testbed, workload, layout, layout_name=label)
     print(
         f"replayed {len(trace)} requests on {workload.n_processes} ranks, layout {label}:"
     )
@@ -1062,31 +1073,33 @@ def _peak_rss_mb() -> float:
 def cmd_replay_bench(args: argparse.Namespace) -> int:
     import time
 
-    request_size = parse_size(args.request_size)
-    # IOR needs a whole number of requests per rank; round up so any
-    # --requests value works.
-    per_rank = -(-args.requests // args.processes)
-    n_requests = per_rank * args.processes
-    if n_requests != args.requests:
-        print(f"note: rounding --requests up to {n_requests} ({per_rank} per rank)")
-    config = IORConfig(
-        n_processes=args.processes,
-        request_size=request_size,
-        file_size=n_requests * request_size,
-        op=args.op,
-        random_offsets=not args.sequential,
-    )
-    workload = IORWorkload(config)
     testbed = _testbed(args)
     try:
-        stripe = parse_size(args.layout)
-    except ValueError:
-        print(
-            f"error: invalid --layout {args.layout!r}: expected a stripe size like '64K'",
-            file=sys.stderr,
+        _number("--requests", args.requests, 1)
+        _number("--processes", args.processes, 1)
+        request_size = _number("--request-size", parse_size(args.request_size), 1)
+        _number("--chunk-size", args.chunk_size)
+        if args.general and args.chunk_size:
+            raise ValueError("--general is incompatible with --chunk-size")
+        # IOR needs a whole number of requests per rank; round up so any
+        # --requests value works.
+        per_rank = -(-args.requests // args.processes)
+        n_requests = per_rank * args.processes
+        workload = IORWorkload(
+            IORConfig(
+                n_processes=args.processes,
+                request_size=request_size,
+                file_size=n_requests * request_size,
+                op=args.op,
+                random_offsets=not args.sequential,
+            )
         )
+        layout, label, _ = _resolve_layout(args, testbed, workload)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    layout = FixedLayout(args.hservers, args.sservers, stripe)
+    if n_requests != args.requests:
+        print(f"note: rounding --requests up to {n_requests} ({per_rank} per rank)")
 
     if args.chunk_size:
         # Streamed replay: generate + submit one window at a time on one
@@ -1096,6 +1109,8 @@ def cmd_replay_bench(args: argparse.Namespace) -> int:
 
         sim = Simulator()
         pfs = testbed.build(sim)
+        if isinstance(layout, RegionStripeTable):
+            layout = RegionLevelLayout(layout)
         handle = pfs.create_file("shared.dat", layout)
         start = time.perf_counter()
         n_chunks = 0
@@ -1116,7 +1131,7 @@ def cmd_replay_bench(args: argparse.Namespace) -> int:
         batch = workload.request_batch()
         start = time.perf_counter()
         fast = run_workload_batched(
-            testbed, batch, layout, layout_name=format_size(stripe), stats_sink=(sink := {})
+            testbed, batch, layout, layout_name=label, stats_sink=(sink := {})
         )
         fast_wall = time.perf_counter() - start
         makespan = fast.makespan
@@ -1149,12 +1164,9 @@ def cmd_replay_bench(args: argparse.Namespace) -> int:
         )
         return 1
     if args.general:
-        if args.chunk_size:
-            print("error: --general is incompatible with --chunk-size", file=sys.stderr)
-            return 2
         start = time.perf_counter()
         general = run_workload_batched(
-            testbed, batch, layout, layout_name=format_size(stripe), force_general=True
+            testbed, batch, layout, layout_name=label, force_general=True
         )
         general_wall = time.perf_counter() - start
         match = "identical" if general.makespan == makespan else "MISMATCH"
@@ -1239,35 +1251,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="record a DES event trace and write Chrome trace_event JSON here",
     )
-    p.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="inject faults, e.g. 'crash:sserver0@0.01;hang:hserver1@0.02+0.05;"
-        "degrade:0@0.01x3+0.1;blip@0.02x2+0.1;corrupt:hserver0@0.03%%0.5' "
-        "(enables client retry/failover)",
-    )
-    p.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="mirror every region N ways across the other server class "
-        "(default 1 = no replication; corrupted reads self-heal when > 1)",
-    )
-    p.add_argument(
-        "--rebuild",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="re-replicate regions lost to crashed servers onto survivors "
-        "(requires --replicas >= 2; exits 1 if any region loses every copy)",
-    )
-    p.add_argument(
-        "--rebuild-duty-cycle",
-        type=float,
-        default=1.0,
-        metavar="FRAC",
-        help="fraction of time the rebuild worker may occupy a disk "
-        "(default 1.0 = rebuild at full speed)",
-    )
+    _add_fault_args(p)
     p.add_argument(
         "--write-quorum",
         type=int,
@@ -1313,28 +1297,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="expected silent-corruption events per run at sweep rate 1 "
         "(default 0 = no corruption; scales with the sweep rate)",
     )
-    p.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="mirror every region N ways in both layouts (default 1; with "
-        "> 1 random crash schedules leave at least one survivor per class)",
-    )
-    p.add_argument(
-        "--rebuild",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="re-replicate crashed servers' regions onto survivors and gate "
-        "the sweep on zero data loss (requires --replicas >= 2)",
-    )
-    p.add_argument(
-        "--rebuild-duty-cycle",
-        type=float,
-        default=1.0,
-        metavar="FRAC",
-        help="fraction of time the rebuild worker may occupy a disk "
-        "(default 1.0 = rebuild at full speed)",
-    )
+    _add_fault_args(p, "--replicas", "--rebuild", "--rebuild-duty-cycle")
     p.add_argument(
         "--restore-after",
         type=float,
@@ -1373,11 +1336,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="measurement window in simulated seconds (default 1.0)",
     )
     p.add_argument("--stripe", default="64K", help="stripe size (default 64K)")
-    p.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="scripted fault spec, same grammar as run-ior",
-    )
+    _add_fault_args(p, "--faults")
     p.add_argument(
         "--chaos",
         type=float,
@@ -1461,20 +1420,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_testbed_args(p)
     _add_ior_args(p)
-    p.add_argument(
-        "--faults",
-        metavar="SPEC",
-        default="corrupt:0@0.01%0.25;corrupt:1@0.02",
-        help="fault spec; corrupt:<server>@<t>[%%<rate>] events poison stored "
-        "stripe units (default poisons servers 0 and 1)",
-    )
-    p.add_argument(
-        "--replicas",
-        type=int,
-        default=2,
-        help="region replication factor; 2+ lets the scrubber repair from "
-        "the mirror copy (default 2)",
-    )
+    _add_fault_args(p, "--faults", "--replicas")
+    # Poison servers 0 and 1 and keep a mirror to repair from by default.
+    p.set_defaults(faults="corrupt:0@0.01%0.25;corrupt:1@0.02", replicas=2)
     p.add_argument("--chunk-size", default="4M", help="bytes verified per scrub read (default 4M)")
     p.add_argument(
         "--duty-cycle",

@@ -184,20 +184,6 @@ class Testbed:
         return cached
 
 
-def _mds_outcome(pfs, failed: bool = False):
-    """``RunResult.mds`` payload: the metadata cluster's end-of-run stats.
-
-    The expected namespace is rebuilt from the filesystem's live handles —
-    every file's name and committed layout generation — so the cluster's
-    ``lost_entries`` check covers exactly what clients would ask for after
-    the run (the chaos zero-lost-entries gate).
-    """
-    expected = {
-        name: handle.layout_generation for name, handle in pfs._files.items()
-    }
-    return pfs.mds.stats(expected=expected, failed=failed)
-
-
 @dataclass(frozen=True)
 class RunResult:
     """One (workload, layout) simulation outcome."""
@@ -245,48 +231,145 @@ class RunResult:
         return self.throughput / MiB
 
 
-def _attach_durability(pfs, rebuild: Any, write_quorum: int | None):
-    """Arm quorum writes and/or a rebuild manager on a fresh filesystem.
+class _ClusterRun:
+    """One harness run's cluster lifecycle: set-up, run, teardown.
 
-    ``rebuild`` is a :class:`repro.online.rebuild.RebuildConfig` (or ``True``
-    for the defaults); returns the attached manager, or None. ``write_quorum``
-    is the ack threshold ``k``: replicated writes return once ``k`` copies are
-    durable and mirror the rest asynchronously.
+    Set-up builds the simulator, the DES tracer (``trace``, or the
+    ``REPRO_TRACE`` switch when None), the testbed's cluster, the fault
+    injector (seeded with ``seed``), the retry policy and the durability
+    layer. The runners supply the rest: :meth:`open` the shared file on a
+    communicator of the right size, submit the work and :meth:`run` it,
+    then :meth:`result` drains outstanding rebuild work and assembles the
+    :class:`RunResult`.
     """
-    manager = None
-    if write_quorum is not None:
-        if write_quorum < 1:
-            raise ValueError(f"write_quorum must be >= 1, got {write_quorum}")
-        pfs.write_quorum = write_quorum
-    if rebuild is not None and rebuild is not False:
-        from repro.online.rebuild import RebuildConfig, RebuildManager
 
-        config = rebuild if isinstance(rebuild, RebuildConfig) else RebuildConfig()
-        manager = RebuildManager(
-            pfs,
-            duty_cycle=config.duty_cycle,
-            chunk_size=config.chunk_size,
-            fail_on_loss=config.fail_on_loss,
+    def __init__(
+        self,
+        testbed: Testbed,
+        seed: int,
+        trace: bool | None = None,
+        faults: Any = None,
+        retry: Any = None,
+        rebuild: Any = None,
+        write_quorum: int | None = None,
+    ):
+        self.sim = Simulator()
+        self.tracer = None
+        if trace or (trace is None and tracing_enabled()):
+            self.tracer = self.sim.tracer = EventTracer()
+        self.pfs = testbed.build(self.sim)
+        self.injector = None
+        if faults is not None:
+            from repro.faults.injector import FaultInjector
+
+            self.injector = FaultInjector(self.sim, self.pfs, faults, seed=seed).install()
+        if retry is not None:
+            self.pfs.retry = retry
+        # Quorum writes ack at ``write_quorum`` durable copies and mirror the
+        # rest asynchronously; ``rebuild`` (a RebuildConfig, or True for the
+        # defaults) re-replicates crashed servers' placements. Either pushes
+        # batches onto the general path (the fast-path blocker counts it).
+        self.write_quorum = write_quorum
+        if write_quorum is not None:
+            if write_quorum < 1:
+                raise ValueError(f"write_quorum must be >= 1, got {write_quorum}")
+            self.pfs.write_quorum = write_quorum
+        self.manager = None
+        if rebuild is not None and rebuild is not False:
+            from repro.online.rebuild import RebuildConfig, RebuildManager
+
+            config = rebuild if isinstance(rebuild, RebuildConfig) else RebuildConfig()
+            self.manager = RebuildManager(
+                self.pfs,
+                duty_cycle=config.duty_cycle,
+                chunk_size=config.chunk_size,
+                fail_on_loss=config.fail_on_loss,
+            )
+        self.file: MPIIOFile | None = None
+        self.mds_failed = False
+
+    def open(
+        self,
+        n_ranks: int,
+        layout: LayoutPolicy | RegionStripeTable,
+        file_name: str,
+        collector: TraceCollector | None = None,
+        n_aggregators: int | None = None,
+    ) -> tuple[SimMPI, MPIIOFile]:
+        """A communicator of ``n_ranks`` ranks and the file it opens."""
+        world = SimMPI(self.sim, n_ranks, network=self.pfs.network)
+        if collector is not None:
+            collector.sim = self.sim  # Trace timestamps follow this run's clock.
+        self.file = MPIIOFile.open(
+            world.comm, self.pfs, file_name, layout,
+            collector=collector, n_aggregators=n_aggregators,
         )
-    return manager
+        return world, self.file
+
+    def run(self, done) -> None:
+        """Run the simulation until ``done``; the clock then is the makespan."""
+        try:
+            self.sim.run(done)
+        except MetadataUnavailable:
+            # Degraded metadata (crashed, unrecovered shard): surface the
+            # outcome in RunResult.faults/RunResult.mds, not as a traceback.
+            if self.injector is None:
+                raise
+            self.mds_failed = True
+        self.makespan = self.sim.now
+
+    def result(
+        self,
+        total_bytes: int,
+        layout_name: str | None = None,
+        serving: Any = None,
+        makespan: float | None = None,
+    ) -> RunResult:
+        """Drain durability work, then summarize the run.
+
+        Rebuild that outlives the workload finishes on its own simulated
+        time after the foreground makespan is captured, restoring
+        redundancy without inflating the foreground numbers. ``layout_name``
+        defaults to the opened file's layout; ``makespan`` to the clock at
+        the end of :meth:`run`.
+        """
+        sim, pfs, manager = self.sim, self.pfs, self.manager
+        durability = None
+        if manager is not None:
+            if manager.active or manager.pending:
+                sim.run(sim.process(manager.drain()))
+            durability = manager.stats()
+        elif self.write_quorum is not None:
+            from repro.online.rebuild import quorum_only_stats
+
+            durability = quorum_only_stats(pfs)
+        if layout_name is None:
+            layout_name = self.file.handle.layout.describe()
+        obs = None
+        if self.tracer is not None:
+            obs = collect_snapshot(self.tracer, pfs, makespan=sim.now)
+        # The expected namespace is every live handle's name and committed
+        # layout generation, so the cluster's ``lost_entries`` check covers
+        # exactly what clients would ask for after the run.
+        expected = {name: handle.layout_generation for name, handle in pfs._files.items()}
+        return RunResult(
+            layout_name=layout_name,
+            makespan=self.makespan if makespan is None else makespan,
+            total_bytes=total_bytes,
+            server_busy=pfs.server_busy_times(),
+            obs=obs,
+            faults=self.injector.stats() if self.injector is not None else None,
+            integrity=pfs.integrity.stats() if pfs.integrity is not None else None,
+            serving=serving,
+            mds=pfs.mds.stats(expected=expected, failed=self.mds_failed),
+            cache=pfs.mds_cache.stats() if pfs.mds_cache is not None else None,
+            durability=durability,
+        )
 
 
-def _durability_outcome(sim, pfs, manager, write_quorum: int | None):
-    """Drain outstanding rebuild work, then summarize durability (or None).
-
-    Called *after* the foreground makespan is captured: rebuild that outlives
-    the workload finishes on its own simulated time, restoring redundancy
-    without inflating the foreground numbers.
-    """
-    if manager is not None:
-        if manager.active or manager.pending:
-            sim.run(sim.process(manager.drain()))
-        return manager.stats()
-    if write_quorum is not None:
-        from repro.online.rebuild import quorum_only_stats
-
-        return quorum_only_stats(pfs)
-    return None
+def _aggregators(workload: Any) -> int | None:
+    """Collective-I/O aggregator count of a workload's config, if any."""
+    return getattr(getattr(workload, "config", None), "n_aggregators", None)
 
 
 def run_workload(
@@ -326,54 +409,12 @@ def run_workload(
     and leave fault-free runs byte-identical to builds without them; the
     outcome rides back in ``RunResult.durability``.
     """
-    sim = Simulator()
-    tracer = None
-    if trace or (trace is None and tracing_enabled()):
-        tracer = EventTracer()
-        sim.tracer = tracer
-    pfs = testbed.build(sim)
-    injector = None
-    if faults is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(sim, pfs, faults, seed=testbed.seed).install()
-    if retry is not None:
-        pfs.retry = retry
-    manager = _attach_durability(pfs, rebuild, write_quorum)
-    world = SimMPI(sim, workload_processes(workload), network=pfs.network)
-    if collector is not None:
-        collector.sim = sim  # Trace timestamps follow this run's clock.
-    n_aggregators = getattr(getattr(workload, "config", None), "n_aggregators", None)
-    mf = MPIIOFile.open(
-        world.comm, pfs, file_name, layout, collector=collector, n_aggregators=n_aggregators
+    run = _ClusterRun(testbed, testbed.seed, trace, faults, retry, rebuild, write_quorum)
+    world, mf = run.open(
+        workload_processes(workload), layout, file_name, collector, _aggregators(workload)
     )
-    done = world.spawn(workload.rank_program(mf))
-    mds_failed = False
-    try:
-        sim.run(done)
-    except MetadataUnavailable:
-        # Degraded metadata (crashed, unrecovered shard): surface the
-        # outcome in RunResult.faults/RunResult.mds, not as a traceback.
-        if injector is None:
-            raise
-        mds_failed = True
-    makespan = sim.now
-    durability = _durability_outcome(sim, pfs, manager, write_quorum)
-    if layout_name is None:
-        layout_name = mf.handle.layout.describe()
-    obs = collect_snapshot(tracer, pfs, makespan=sim.now) if tracer is not None else None
-    return RunResult(
-        layout_name=layout_name,
-        makespan=makespan,
-        total_bytes=workload_bytes(workload),
-        server_busy=pfs.server_busy_times(),
-        obs=obs,
-        faults=injector.stats() if injector is not None else None,
-        integrity=pfs.integrity.stats() if pfs.integrity is not None else None,
-        mds=_mds_outcome(pfs, failed=mds_failed),
-        cache=pfs.mds_cache.stats() if pfs.mds_cache is not None else None,
-        durability=durability,
-    )
+    run.run(world.spawn(workload.rank_program(mf)))
+    return run.result(workload_bytes(workload), layout_name)
 
 
 def run_workload_batched(
@@ -409,56 +450,16 @@ def run_workload_batched(
     from repro.pfs.batch import RequestBatch
 
     batch = workload if isinstance(workload, RequestBatch) else workload.request_batch()
-    sim = Simulator()
-    tracer = None
-    if trace or (trace is None and tracing_enabled()):
-        tracer = EventTracer()
-        sim.tracer = tracer
-    pfs = testbed.build(sim)
-    injector = None
-    if faults is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(sim, pfs, faults, seed=testbed.seed).install()
-    if retry is not None:
-        pfs.retry = retry
-    # Rebuild or quorum writes push the batch onto the general path (the
-    # fast-path blocker counts the fallback); rebuild-off runs keep their
-    # fast tiers bit-identical.
-    manager = _attach_durability(pfs, rebuild, write_quorum)
-    world = SimMPI(sim, 1, network=pfs.network)
-    if collector is not None:
-        collector.sim = sim
-    mf = MPIIOFile.open(world.comm, pfs, file_name, layout, collector=collector)
-    done = mf.request_batch(batch, force_general=force_general)
-    mds_failed = False
-    try:
-        sim.run(done)
-    except MetadataUnavailable:
-        if injector is None:
-            raise
-        mds_failed = True
-    makespan = sim.now
-    durability = _durability_outcome(sim, pfs, manager, write_quorum)
+    run = _ClusterRun(testbed, testbed.seed, trace, faults, retry, rebuild, write_quorum)
+    _, mf = run.open(1, layout, file_name, collector)
+    run.run(mf.request_batch(batch, force_general=force_general))
+    result = run.result(batch.total_bytes, layout_name)
     if stats_sink is not None:
+        pfs = run.pfs
         stats_sink["batch_stats"] = dict(pfs.batch_stats)
         stats_sink["batch_fallbacks"] = dict(pfs.batch_fallbacks)
         stats_sink["subrequests"] = sum(s.subrequests_served for s in pfs.servers)
-    if layout_name is None:
-        layout_name = mf.handle.layout.describe()
-    obs = collect_snapshot(tracer, pfs, makespan=sim.now) if tracer is not None else None
-    return RunResult(
-        layout_name=layout_name,
-        makespan=makespan,
-        total_bytes=batch.total_bytes,
-        server_busy=pfs.server_busy_times(),
-        obs=obs,
-        faults=injector.stats() if injector is not None else None,
-        integrity=pfs.integrity.stats() if pfs.integrity is not None else None,
-        mds=_mds_outcome(pfs, failed=mds_failed),
-        cache=pfs.mds_cache.stats() if pfs.mds_cache is not None else None,
-        durability=durability,
-    )
+    return result
 
 
 def run_serving(
@@ -478,25 +479,13 @@ def run_serving(
     ``retry`` behave exactly as in :func:`run_workload`. Same (seed,
     scenario, schedule) ⇒ identical results, serial or ``--jobs N``.
     """
-    from repro.obs.tracer import collect_snapshot
-    from repro.serving.frontend import simulate_scenario
+    from repro.serving.frontend import _serve
 
-    serving, sim, pfs, tracer, injector = simulate_scenario(
-        testbed, scenario, faults=faults, retry=retry, trace=trace
-    )
-    obs = collect_snapshot(tracer, pfs, makespan=sim.now) if tracer is not None else None
-    total_bytes = sum(t.bytes_read + t.bytes_written for t in serving.tenants)
-    return RunResult(
-        layout_name=f"serving[{len(serving.tenants)} tenants]",
-        makespan=serving.makespan,
-        total_bytes=total_bytes,
-        server_busy=pfs.server_busy_times(),
-        obs=obs,
-        faults=injector.stats() if injector is not None else None,
-        integrity=pfs.integrity.stats() if pfs.integrity is not None else None,
+    serving, run = _serve(testbed, scenario, faults, retry, trace)
+    return run.result(
+        sum(t.bytes_read + t.bytes_written for t in serving.tenants),
+        f"serving[{len(serving.tenants)} tenants]",
         serving=serving,
-        mds=_mds_outcome(pfs),
-        cache=pfs.mds_cache.stats() if pfs.mds_cache is not None else None,
     )
 
 
@@ -550,7 +539,7 @@ class ConcurrentRunResult:
 def run_concurrent_workloads(
     testbed: Testbed,
     apps: list[tuple[str, Workload, LayoutPolicy | RegionStripeTable]],
-    ) -> ConcurrentRunResult:
+) -> ConcurrentRunResult:
     """Run several applications simultaneously on one shared cluster.
 
     Each app gets its own file and its own communicator (its ranks), all
@@ -561,18 +550,13 @@ def run_concurrent_workloads(
     """
     if not apps:
         raise ValueError("need at least one application")
-    sim = Simulator()
-    pfs = testbed.build(sim)
+    run = _ClusterRun(testbed, testbed.seed, trace=False)
+    sim = run.sim
     finish_times: dict[str, float] = {}
     joins = []
     for name, workload, layout in apps:
-        world = SimMPI(sim, workload_processes(workload), network=pfs.network)
-        mf = MPIIOFile.open(
-            world.comm,
-            pfs,
-            f"{name}.dat",
-            layout,
-            n_aggregators=getattr(getattr(workload, "config", None), "n_aggregators", None),
+        world, mf = run.open(
+            workload_processes(workload), layout, f"{name}.dat", n_aggregators=_aggregators(workload)
         )
         done = world.spawn(workload.rank_program(mf))
 
@@ -581,17 +565,12 @@ def run_concurrent_workloads(
             finish_times[name] = sim.now
 
         joins.append(sim.process(track()))
-    sim.run(sim.all_of(joins))
+    run.run(sim.all_of(joins))
     per_app = {
-        name: RunResult(
-            layout_name=name,
-            makespan=finish_times[name],
-            total_bytes=workload_bytes(workload),
-            server_busy=pfs.server_busy_times(),
-        )
+        name: run.result(workload_bytes(workload), name, makespan=finish_times[name])
         for name, workload, _ in apps
     }
-    return ConcurrentRunResult(makespan=sim.now, per_app=per_app)
+    return ConcurrentRunResult(makespan=run.makespan, per_app=per_app)
 
 
 @dataclass(frozen=True)

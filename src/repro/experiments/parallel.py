@@ -28,7 +28,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 _T = TypeVar("_T")
@@ -165,61 +165,33 @@ class PlanJob:
     max_requests_per_region: int = 256
 
 
+def _job_kwargs(job: RunJob | PlanJob | ServeJob) -> dict:
+    """A job spec's fields as keyword arguments of its harness entry point."""
+    return {spec.name: getattr(job, spec.name) for spec in fields(job)}
+
+
 def execute_run_job(job: RunJob) -> Any:
     """Run one :class:`RunJob` (module-level, hence pool-picklable)."""
     from repro.experiments.harness import run_workload, run_workload_batched
 
-    if job.batched:
-        return run_workload_batched(
-            job.testbed,
-            job.workload,
-            job.layout,
-            layout_name=job.layout_name,
-            file_name=job.file_name,
-            trace=job.trace,
-            faults=job.faults,
-            retry=job.retry,
-            rebuild=job.rebuild,
-            write_quorum=job.write_quorum,
-            force_general=job.force_general,
-        )
-    return run_workload(
-        job.testbed,
-        job.workload,
-        job.layout,
-        layout_name=job.layout_name,
-        file_name=job.file_name,
-        trace=job.trace,
-        faults=job.faults,
-        retry=job.retry,
-        rebuild=job.rebuild,
-        write_quorum=job.write_quorum,
-    )
+    kwargs = _job_kwargs(job)
+    if not kwargs.pop("batched"):
+        del kwargs["force_general"]  # the per-request runner has no tiers
+    return (run_workload_batched if job.batched else run_workload)(**kwargs)
 
 
 def execute_serve_job(job: ServeJob) -> Any:
     """Run one :class:`ServeJob` (module-level, hence pool-picklable)."""
     from repro.experiments.harness import run_serving
 
-    return run_serving(
-        job.testbed,
-        job.scenario,
-        faults=job.faults,
-        retry=job.retry,
-        trace=job.trace,
-    )
+    return run_serving(**_job_kwargs(job))
 
 
 def execute_plan_job(job: PlanJob) -> Any:
     """Run one :class:`PlanJob` (module-level, hence pool-picklable)."""
     from repro.experiments.harness import harl_plan
 
-    return harl_plan(
-        job.testbed,
-        job.workload,
-        step=job.step,
-        max_requests_per_region=job.max_requests_per_region,
-    )
+    return harl_plan(**_job_kwargs(job))
 
 
 def execute_job(job: RunJob | PlanJob | ServeJob) -> Any:

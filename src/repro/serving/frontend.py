@@ -30,7 +30,6 @@ from typing import Any
 
 from repro.devices.base import OpType
 from repro.obs.metrics import TAIL_LATENCY_BOUNDS, MetricsRegistry, histogram_quantile
-from repro.obs.tracer import EventTracer, tracing_enabled
 from repro.pfs.health import ServerUnavailable
 from repro.pfs.integrity import IntegrityError
 from repro.pfs.layout import FixedLayout
@@ -44,7 +43,6 @@ from repro.serving.tiers import (
     TierSpec,
     parse_tier_config,
 )
-from repro.simulate.engine import Simulator
 from repro.util.rng import derive_rng
 from repro.util.units import KiB
 
@@ -228,28 +226,30 @@ def simulate_scenario(
 ):
     """Run one scenario; returns ``(ServingResult, sim, pfs, tracer, injector)``.
 
-    The extras let the harness assemble a full ``RunResult`` (obs snapshot,
-    fault stats, integrity stats) without re-running anything. Most callers
-    want :func:`repro.experiments.harness.run_serving` instead.
+    The extras let callers inspect the cluster the run left behind (device
+    RNG states, fault and integrity stats) without re-running anything.
+    Most callers want :func:`repro.experiments.harness.run_serving`, which
+    assembles a full ``RunResult`` instead.
     """
+    serving, run = _serve(testbed, scenario, faults, retry, trace)
+    return serving, run.sim, run.pfs, run.tracer, run.injector
+
+
+def _serve(testbed, scenario: ServingScenario, faults, retry, trace):
+    """Drive ``scenario`` on a harness cluster; returns ``(ServingResult, run)``.
+
+    The cluster comes from the harness lifecycle with the scenario's seed
+    for the fault injector and, with fair sharing on, WFQ disk queues.
+    """
+    from repro.experiments.harness import _ClusterRun
+
     scenario.validate()
     tiers = scenario.tier_map()
-    sim = Simulator()
-    tracer = None
-    if trace or (trace is None and tracing_enabled()):
-        tracer = EventTracer()
-        sim.tracer = tracer
     bed = testbed
     if scenario.fair_share and bed.disk_scheduler == "fifo":
         bed = replace(bed, disk_scheduler="wfq")
-    pfs = bed.build(sim)
-    injector = None
-    if faults is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(sim, pfs, faults, seed=scenario.seed).install()
-    if retry is not None:
-        pfs.retry = retry
+    run = _ClusterRun(bed, scenario.seed, trace, faults, retry)
+    sim, pfs, tracer = run.sim, run.pfs, run.tracer
     registry = tracer.registry if tracer is not None else MetricsRegistry()
 
     hedgers: dict[str, HedgeScheduler] = {}
@@ -381,10 +381,10 @@ def simulate_scenario(
             drivers.append(
                 sim.process(open_driver(state), name=f"{state.spec.name}.driver")
             )
-    sim.run(sim.all_of(drivers))
+    run.run(sim.all_of(drivers))
     pending = [proc for state in states for proc in state.outstanding if proc.is_alive]
     if pending:
-        sim.run(sim.all_of(pending))
+        run.run(sim.all_of(pending))
 
     for state in states:
         prefix = f"tenant.{state.spec.name}"
@@ -423,4 +423,4 @@ def simulate_scenario(
         hedge=hedge_totals,
         metrics=snapshot,
     )
-    return result, sim, pfs, tracer, injector
+    return result, run

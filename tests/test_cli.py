@@ -608,3 +608,69 @@ class TestMdsCli:
         )
         assert code == 0
         assert "mds: 2 shards" in capsys.readouterr().out
+
+
+class TestNonFiniteFlags:
+    """NaN and infinite numeric flags exit 2 with one ``error: --<flag>`` line.
+
+    Before the shared finite check, NaN/inf fault rates reached numpy's
+    Poisson sampler (a traceback, exit 1) and NaN durations, spreads and
+    restore delays ran silently.
+    """
+
+    IOR = ["--hservers", "2", "--sservers", "2", "--processes", "4",
+           "--file-size", "2M", "--request-size", "64K"]
+    BED = ["--hservers", "2", "--sservers", "2"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["chaos", *IOR, "--rates", "nan"], "--rates"),
+            (["chaos", *IOR, "--rates", "inf"], "--rates"),
+            (["chaos", *IOR, "--rates", "0,nan"], "--rates"),
+            (["chaos", *IOR, "--rates", "0", "--corrupt-rate", "nan"], "--corrupt-rate"),
+            (["chaos", *IOR, "--rates", "0", "--mds-shards", "2",
+              "--mds-crash-rate", "nan"], "--mds-crash-rate"),
+            (["chaos", *IOR, "--rates", "0", "--restore-after", "nan"], "--restore-after"),
+            (["chaos", *IOR, "--rates", "0", "--restore-after", "inf"], "--restore-after"),
+            (["chaos", *IOR, "--rates", "0", "--replicas", "2", "--rebuild",
+              "--rebuild-duty-cycle", "nan"], "--rebuild-duty-cycle"),
+            (["run-ior", *IOR, "--layout", "64K", "--replicas", "2", "--rebuild",
+              "--rebuild-duty-cycle", "nan"], "--rebuild-duty-cycle"),
+            (["serve", *BED, "--duration", "0.05", "--chaos", "nan"], "--chaos"),
+            (["serve", *BED, "--duration", "0.05", "--chaos", "inf"], "--chaos"),
+            (["serve", *BED, "--duration", "nan"], "--duration"),
+            (["mds-bench", "--shards", "1", "--ops", "16", "--processes", "4",
+              "--spread", "nan"], "--spread"),
+            (["mds-bench", "--shards", "1", "--ops", "16", "--processes", "4",
+              "--assert-speedup", "nan"], "--assert-speedup"),
+        ],
+    )
+    def test_non_finite_value_exits_two(self, argv, flag, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ")
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestReplayBenchErrors:
+    """Bad ``replay-bench`` geometry or layout exits 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--layout", "0"], "--layout"),
+            (["--layout", "bogus"], "--layout"),
+            (["--processes", "0"], "--processes"),
+            (["--requests", "0"], "--requests"),
+            (["--request-size", "0"], "--request-size"),
+            (["--chunk-size", "-5"], "--chunk-size"),
+        ],
+    )
+    def test_bad_flag_exits_two(self, argv, flag, capsys):
+        code = main(["replay-bench", "--hservers", "2", "--sservers", "1",
+                     "--requests", "64", "--processes", "4", *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert len(err.strip().splitlines()) == 1
