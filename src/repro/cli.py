@@ -55,7 +55,6 @@ import sys
 from pathlib import Path
 
 from repro.core.planner import HARLPlanner
-from repro.core.rst import RegionStripeTable
 from repro.experiments import figures
 from repro.experiments.harness import Testbed, harl_plan, run_workload, run_workload_batched
 from repro.faults import FaultSchedule, FaultSpecError, RetryPolicy, parse_faults
@@ -359,10 +358,28 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    trace = TraceFile.load(args.trace)
+def _load_trace(path: str):
+    """The records of the IOSIG trace at ``path``.
+
+    Raises ValueError with a one-line reason when the file cannot be read,
+    is not an IOSIG CSV, or holds no records.
+    """
+    try:
+        trace = TraceFile.load(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read trace {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not trace:
-        print("error: trace is empty", file=sys.stderr)
+        raise ValueError(f"trace is empty: {path}")
+    return trace
+
+
+def cmd_plan(args: argparse.Namespace) -> int:
+    try:
+        trace = _load_trace(args.trace)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     testbed = _testbed(args)
     mean = int(sum(r.size for r in trace) / len(trace))
@@ -1038,9 +1055,10 @@ def cmd_run_figure(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     from repro.workloads.replay import ReplayConfig, TraceReplayWorkload
 
-    trace = TraceFile.load(args.trace)
-    if not trace:
-        print("error: trace is empty", file=sys.stderr)
+    try:
+        trace = _load_trace(args.trace)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     workload = TraceReplayWorkload(
         trace, ReplayConfig(preserve_think_time=args.think_time)
@@ -1101,43 +1119,27 @@ def cmd_replay_bench(args: argparse.Namespace) -> int:
     if n_requests != args.requests:
         print(f"note: rounding --requests up to {n_requests} ({per_rank} per rank)")
 
+    # A chunked replay streams the workload as windows of --chunk-size
+    # requests on one long-lived cluster, so peak RSS is bounded by the
+    # window, not the run (the 100M-request mode).
+    batch = workload if args.chunk_size else workload.request_batch()
+    start = time.perf_counter()
+    fast = run_workload_batched(
+        testbed, batch, layout, layout_name=label, stats_sink=(sink := {}),
+        chunk_size=args.chunk_size,
+    )
+    fast_wall = time.perf_counter() - start
+    makespan = fast.makespan
+    stats = sink["batch_stats"]
+    fallbacks = sink["batch_fallbacks"]
+    n_subrequests = sink["subrequests"]
     if args.chunk_size:
-        # Streamed replay: generate + submit one window at a time on one
-        # long-lived cluster, so peak RSS is bounded by the chunk, not the
-        # run (the 100M-request mode).
-        from repro.simulate.engine import Simulator
-
-        sim = Simulator()
-        pfs = testbed.build(sim)
-        if isinstance(layout, RegionStripeTable):
-            layout = RegionLevelLayout(layout)
-        handle = pfs.create_file("shared.dat", layout)
-        start = time.perf_counter()
-        n_chunks = 0
-        for chunk in workload.iter_request_batches(args.chunk_size):
-            sim.run(handle.request_batch(chunk))
-            n_chunks += 1
-        fast_wall = time.perf_counter() - start
-        makespan, total_bytes = sim.now, n_requests * request_size
-        stats = pfs.batch_stats
-        fallbacks = dict(pfs.batch_fallbacks)
-        n_subrequests = sum(s.subrequests_served for s in pfs.servers)
         print(
             f"chunked replay of {n_requests} requests "
-            f"({format_size(total_bytes)}, {n_chunks} chunks of <= {args.chunk_size}): "
-            f"{fast_wall:.3f}s wall, makespan {makespan:.4f}s"
+            f"({format_size(fast.total_bytes)}, {sink['batches']} chunks of "
+            f"<= {args.chunk_size}): {fast_wall:.3f}s wall, makespan {makespan:.4f}s"
         )
     else:
-        batch = workload.request_batch()
-        start = time.perf_counter()
-        fast = run_workload_batched(
-            testbed, batch, layout, layout_name=label, stats_sink=(sink := {})
-        )
-        fast_wall = time.perf_counter() - start
-        makespan = fast.makespan
-        stats = sink["batch_stats"]
-        fallbacks = sink["batch_fallbacks"]
-        n_subrequests = sink["subrequests"]
         print(
             f"batched replay of {len(batch)} requests ({format_size(batch.total_bytes)}): "
             f"{fast_wall:.3f}s wall, makespan {makespan:.4f}s, "
@@ -1182,9 +1184,10 @@ def cmd_replay_bench(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.workloads.analysis import analyze_trace, render_report
 
-    trace = TraceFile.load(args.trace)
-    if not trace:
-        print("error: trace is empty", file=sys.stderr)
+    try:
+        trace = _load_trace(args.trace)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_report(analyze_trace(trace), title=args.trace))
     return 0

@@ -674,3 +674,49 @@ class TestReplayBenchErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestBadTraceFile:
+    """A missing or non-IOSIG ``--trace`` exits 2 with one ``error:`` line.
+
+    ``plan``, ``analyze`` and ``replay`` used to pass the path straight to
+    ``TraceFile.load``: a missing file raised ``FileNotFoundError`` and an
+    empty or foreign file ``ValueError: not a trace file``, both as
+    tracebacks with exit 1.
+    """
+
+    @pytest.mark.parametrize("command", ["plan", "analyze", "replay"])
+    @pytest.mark.parametrize("content", [None, "", "not,a,trace\n1,2\n"])
+    def test_unreadable_trace_exits_two(self, command, content, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        if content is not None:
+            path.write_text(content)
+        argv = [command, "--trace", str(path)]
+        if command != "analyze":
+            argv += ["--hservers", "2", "--sservers", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestReplayBenchChunked:
+    """The chunked replay's makespan and sub-request count, pinned."""
+
+    @pytest.mark.parametrize(
+        "argv, makespan, subrequests",
+        [
+            ([], "0.1485", 256),
+            (["--layout", "harl", "--request-size", "256K"], "0.2014", 768),
+        ],
+    )
+    def test_chunked_run_is_pinned(self, argv, makespan, subrequests, capsys):
+        code = main(["replay-bench", "--hservers", "2", "--sservers", "1",
+                     "--requests", "256", "--processes", "4", "--chunk-size", "96",
+                     *argv])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "3 chunks of <= 96" in out
+        assert f"makespan {makespan}s" in out
+        assert f"  {subrequests} sub-requests" in out
+        assert "3 columnar + 0 event-heap + 0 general" in out
