@@ -70,6 +70,39 @@ class RequestHooks(NamedTuple):
     qos: tuple | None
 
 
+class _AttemptTimer:
+    """The timeout of one resilient serve attempt, run in the calling process.
+
+    ``retry_timeout`` seconds after it is armed, the timer interrupts the
+    process that armed it with :attr:`expired`, a :class:`ServerUnavailable`
+    the serve's stages re-raise after releasing their slots. :meth:`disarm`
+    cancels the timer and, if it fired in the same instant as the serve
+    ended, the interrupt's pending wake-up.
+    """
+
+    __slots__ = ("proc", "server", "timeout", "event", "wakeup", "expired")
+
+    def __init__(self, sim: Simulator, retry_timeout: float, server: str):
+        self.proc = sim.active_process
+        self.server = server
+        self.timeout = retry_timeout
+        self.wakeup = None
+        self.expired = None
+        self.event = sim.timeout(retry_timeout)
+        self.event.callbacks.append(self._fire)
+
+    def _fire(self, _event) -> None:
+        self.expired = ServerUnavailable(
+            f"{self.server}: no response within {self.timeout:g}s", server=self.server
+        )
+        self.wakeup = self.proc.interrupt(self.expired)
+
+    def disarm(self) -> None:
+        self.event.cancel()
+        if self.wakeup is not None:
+            self.wakeup.cancel()
+
+
 class PFSFile:
     """A logical file striped over the filesystem's servers."""
 
@@ -411,7 +444,9 @@ class PFSFile:
                             sub_procs.append(mproc)
                     if copies > sync_copies:
                         pfs.quorum_stats["acks"] += 1
-        if sub_procs:
+        if len(sub_procs) == 1:
+            yield sub_procs[0]
+        elif sub_procs:
             yield sim.all_of(sub_procs)
         if op is OpType.READ:
             self.bytes_read += size
@@ -425,11 +460,14 @@ class PFSFile:
         """One sub-request under a RetryPolicy: timeout, backoff, failover.
 
         Each attempt re-consults the health route map (the target may have
-        died between attempts) and races the serve against a timeout. A
-        timed-out serve is interrupted with :class:`ServerUnavailable` so
-        the server-side stages release their queue slots. Backoff delays
-        are deterministic: jitter derives from the policy seed and the
-        sub-request's identity, never from wall-clock or global RNG state.
+        died between attempts) and runs the serve in the calling process,
+        racing a timer. When the timer fires first, its callback interrupts
+        this process with :class:`ServerUnavailable`: the serve's stages
+        release their queue slots and the attempt fails. A serve that
+        completes in the timer's instant wins, and the interrupt's wake-up
+        is cancelled. Backoff delays are deterministic: jitter derives from
+        the policy seed and the sub-request's identity, never from
+        wall-clock or global RNG state.
         """
         sim = self.pfs.sim
         health = self.pfs.health
@@ -441,32 +479,19 @@ class PFSFile:
                 health.exhausted += 1
                 raise
             server = self.pfs.servers[target]
-            serve = sim.process(
-                server.serve(op, offset, size), name=f"{server.name}<-{self.name}"
-            )
-            if self.qos is not None:
-                serve.qos = self.qos
             failure: ServerUnavailable | None = None
+            timer = None
+            if retry.timeout is not None:
+                timer = _AttemptTimer(sim, retry.timeout, server.name)
             try:
-                if retry.timeout is not None:
-                    guard = sim.timeout(retry.timeout)
-                    index, _ = yield sim.any_of([serve, guard])
-                    if index == 1 and not (serve.triggered and serve._exception is None):
-                        health.timeouts += 1
-                        failure = ServerUnavailable(
-                            f"{server.name}: no response within {retry.timeout:g}s",
-                            server=server.name,
-                        )
-                        serve.interrupt(failure)
-                    else:
-                        # The serve won the race: lazily cancel the guard so
-                        # its dead heap entry is discarded at pop instead of
-                        # dispatching a no-op callback sweep.
-                        guard.cancel()
-                else:
-                    yield serve
+                yield from server.serve(op, offset, size)
             except ServerUnavailable as exc:
                 failure = exc
+                if timer is not None and exc is timer.expired:
+                    health.timeouts += 1
+            finally:
+                if timer is not None:
+                    timer.disarm()
             if failure is None:
                 return
             if attempt >= retry.max_attempts:

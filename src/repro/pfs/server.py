@@ -29,7 +29,7 @@ from repro.devices.base import OpType, StorageDevice
 from repro.network.link import NetworkModel
 from repro.pfs.health import ServerUnavailable
 from repro.pfs.integrity import IntegrityError
-from repro.simulate.engine import Interrupt, Process, Simulator
+from repro.simulate.engine import Event, Interrupt, Process, Simulator
 from repro.simulate.resources import Resource, ScanResource, WFQResource
 
 
@@ -80,8 +80,9 @@ class FileServer:
         # is enabled, so the fault-free serve path pays one attribute check.
         self._failed = False
         # In-flight serves are a dict, not a set, so a crash interrupts them
-        # in the order they started, never in memory-address order.
-        self._active: dict[Process, None] | None = None
+        # in the order they started, never in memory-address order. Each
+        # maps to the wake-up of the crash interrupt sent to it, if any.
+        self._active: dict[Process, Event | None] | None = None
         #: Per-stripe-unit CRC tags (:mod:`repro.pfs.integrity`); None until
         #: the filesystem enables integrity, so checksum-off serves pay one
         #: attribute comparison.
@@ -114,9 +115,12 @@ class FileServer:
         if self._failed:
             return
         self._failed = True
-        if self._active:
-            for proc in list(self._active):
-                proc.interrupt(ServerUnavailable(f"{self.name}: server crashed", server=self.name))
+        active = self._active
+        if active:
+            for proc in list(active):
+                active[proc] = proc.interrupt(
+                    ServerUnavailable(f"{self.name}: server crashed", server=self.name)
+                )
 
     def mark_restored(self) -> None:
         """Rejoin after a crash: accept new sub-requests again.
@@ -165,10 +169,11 @@ class FileServer:
 
         Both stages run in this one generator frame (every resume of the
         hottest process in the simulator goes through one frame, not two).
-        Each stage is interrupt-safe: a cancellation delivered while queued
-        withdraws the pending request, and if it was granted in the same
-        instant, gives the slot back; one delivered while holding the slot
-        releases it.
+        A free NIC or disk slot is taken synchronously (no grant event); a
+        busy one is queued for. Each stage is interrupt-safe: a cancellation
+        delivered while queued withdraws the pending request, and if it was
+        granted in the same instant, gives the slot back; one delivered
+        while holding the slot releases it.
         """
         if type(op) is not OpType:
             op = OpType.parse(op)
@@ -189,13 +194,14 @@ class FileServer:
         try:
             for resource in (self.nic, disk) if op is OpType.WRITE else (disk, self.nic):
                 on_disk = resource is disk
-                request = resource.request(key=offset) if on_disk else resource.request()
-                try:
-                    yield request
-                except BaseException:
-                    if not resource.cancel(request) and request._triggered:
-                        resource.release(request)
-                    raise
+                request = resource.acquire(offset if on_disk else None)
+                if request is not None:
+                    try:
+                        yield request
+                    except BaseException:
+                        if not resource.cancel(request) and request._triggered:
+                            resource.release(request)
+                        raise
                 try:
                     if not on_disk:
                         delay = self.network.transfer_time(size)
@@ -224,7 +230,12 @@ class FileServer:
             raise
         finally:
             if proc is not None:
-                active.pop(proc, None)
+                # A serve that ended in its crash's instant, before the
+                # interrupt landed, must not meet that stale interrupt at the
+                # process's next yield.
+                wakeup = active.pop(proc, None)
+                if wakeup is not None:
+                    wakeup.cancel()
         checks = self.checksums
         if checks is not None:
             if op is OpType.WRITE:

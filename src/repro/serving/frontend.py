@@ -25,7 +25,7 @@ itself simulation state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.devices.base import OpType
@@ -214,7 +214,6 @@ class _TenantState:
     rejected: int = 0
     failed: int = 0
     throttle_wait: float = 0.0
-    outstanding: list = field(default_factory=list)
 
 
 def simulate_scenario(
@@ -337,11 +336,23 @@ def _serve(testbed, scenario: ServingScenario, faults, retry, trace):
                 if think > 0.0:
                     yield sim.timeout(think)
 
+    # Open-loop requests still in flight, and the event that fires when the
+    # last one ends after every driver finished (see the drain below). No
+    # finished request process is kept alive.
+    inflight = 0
+    drained = None
+
     def request_flow(state: _TenantState, wait: float, op, offset: int, arrival: float):
-        if wait > 0.0:
-            state.throttle_wait += wait
-            yield sim.timeout(wait)
-        yield from perform(state, op, offset, arrival)
+        nonlocal inflight
+        try:
+            if wait > 0.0:
+                state.throttle_wait += wait
+                yield sim.timeout(wait)
+            yield from perform(state, op, offset, arrival)
+        finally:
+            inflight -= 1
+            if not inflight and drained is not None:
+                drained.succeed()
 
     def open_driver(state: _TenantState):
         """Open-loop tenant driver: spawn one process per arrival.
@@ -349,6 +360,7 @@ def _serve(testbed, scenario: ServingScenario, faults, retry, trace):
         Offsets and ops are drawn here, in arrival order, so the request
         sequence is independent of how completions interleave.
         """
+        nonlocal inflight
         spec = state.spec
         rng = derive_rng(scenario.seed, "serving", spec.name, "arrivals")
         index = 0
@@ -360,11 +372,11 @@ def _serve(testbed, scenario: ServingScenario, faults, retry, trace):
                 state.rejected += 1
                 continue
             op, offset = draw_request(rng, spec)
-            proc = sim.process(
+            inflight += 1
+            sim.process(
                 request_flow(state, wait, op, offset, sim.now),
                 name=f"{spec.name}.req{index}",
             )
-            state.outstanding.append(proc)
             index += 1
 
     drivers = []
@@ -382,9 +394,9 @@ def _serve(testbed, scenario: ServingScenario, faults, retry, trace):
                 sim.process(open_driver(state), name=f"{state.spec.name}.driver")
             )
     run.run(sim.all_of(drivers))
-    pending = [proc for state in states for proc in state.outstanding if proc.is_alive]
-    if pending:
-        run.run(sim.all_of(pending))
+    if inflight:
+        drained = sim.event()
+        run.run(drained)
 
     for state in states:
         prefix = f"tenant.{state.spec.name}"

@@ -16,7 +16,9 @@ path:
    the timer is *cancelled* via ``Event.cancel()`` (a lazy heap discard, no
    dead callback sweep); if it fires, the read is hedged on the next-best
    copy, and whichever serve loses the race is interrupted so its queue
-   slots free immediately.
+   slots free immediately. Both attempts run their serve inside their own
+   process (a retry policy's serve included), so the interrupt stops the
+   losing copy's work, not just the wait for it.
 
 The scheduler composes with integrity: a hedged read that hits a checksum
 mismatch falls through the remaining copies and self-heals poisoned ones

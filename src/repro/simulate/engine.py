@@ -132,10 +132,14 @@ class Event:
         instead of dispatching it. Time still advances to the event's
         timestamp exactly as before — cancellation suppresses *effects*, not
         the clock — so cancelling a raced-and-lost timeout cannot perturb a
-        simulation's timing. Cancelling an already-processed event is a
+        simulation's timing. The callbacks are dropped at once, so whatever
+        they refer to (a finished process, a combinator) need not outlive
+        the cancel until the pop. Cancelling an already-processed event is a
         no-op.
         """
         self._cancelled = True
+        if self.callbacks:
+            self.callbacks = []
 
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
@@ -181,13 +185,18 @@ class Process(Event):
     generator raises, this event fails with that exception (re-raised in any
     process joining on it, or surfaced by :meth:`Simulator.run`).
 
+    A process that returns while nobody waits on it (no callbacks) is
+    marked processed in place: dispatching its end would run no callback,
+    so it costs no event. A process that raises is always scheduled, so an
+    unjoined failure still surfaces from :meth:`Simulator.run`.
+
     The ``qos`` slot is an optional ``(flow, weight)`` scheduling tag read
     by weighted-fair resources (see ``resources.WFQResource``). It is left
     unset unless a serving layer assigns it, so untagged processes pay no
     per-process cost.
     """
 
-    __slots__ = ("generator", "name", "qos")
+    __slots__ = ("generator", "name", "qos", "_target")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str | None = None):
         if type(generator) is not GeneratorType and not isinstance(generator, Generator):
@@ -202,6 +211,8 @@ class Process(Event):
         self._cancelled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        #: The event the process waits on (see :meth:`_interrupted`).
+        self._target: Event | None = None
         # Kick-start on the next tick at current time.
         bootstrap = Event(sim)
         bootstrap.callbacks.append(self._resume)
@@ -213,15 +224,41 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+    def interrupt(self, cause: Any = None) -> Event | None:
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        Returns the scheduled wake-up event (None if the process already
+        finished). Cancelling it before it is dispatched withdraws the
+        interrupt: an interrupter that learns in the same instant that the
+        process finished its work uses this so no stale Interrupt reaches
+        the process's next ``yield``.
+        """
         if self._triggered:
-            return  # Already finished; interrupting is a no-op.
+            return None  # Already finished; interrupting is a no-op.
         wakeup = Event(self.sim)
         wakeup._triggered = True
         wakeup._exception = Interrupt(cause)
-        wakeup.callbacks.append(self._resume)
+        wakeup.callbacks.append(self._interrupted)
         self.sim._schedule(wakeup, 0.0)
+        return wakeup
+
+    def _interrupted(self, wakeup: Event) -> None:
+        """Unhook from the awaited event, then throw the Interrupt in.
+
+        A process that catches the Interrupt and keeps running must never
+        be resumed by the event it was waiting on when interrupted (SimPy
+        unhooks its ``_target`` the same way).
+        """
+        if self._triggered:
+            return
+        target = self._target
+        if target is not None:
+            callbacks = target.callbacks
+            if callbacks:
+                resume = self._resume
+                if resume in callbacks:
+                    callbacks.remove(resume)
+        self._resume(wakeup)
 
     def _resume(self, trigger: Event) -> None:
         if self._triggered:
@@ -236,12 +273,21 @@ class Process(Event):
                 target = self.generator.send(trigger._value)
         except StopIteration as stop:
             sim._active_process = None
-            self.succeed(stop.value)
+            self._target = None
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody waits: the end is processed here, not dispatched.
+                self._triggered = True
+                self._value = stop.value
+                self._processed = True
+                self.callbacks = None
             return
         except BaseException as exc:
             # An unhandled Interrupt (or any other exception) terminates the
             # process as a failure.
             sim._active_process = None
+            self._target = None
             self.fail(exc)
             return
         sim._active_process = None
@@ -257,6 +303,7 @@ class Process(Event):
         if callbacks is None:
             self._resume(target)
         else:
+            self._target = target
             callbacks.append(self._resume)
 
 

@@ -101,23 +101,43 @@ class Resource:
         ``key`` to reorder waiters (e.g. :class:`ScanResource` treats it as
         a disk offset).
         """
-        grant = Event(self.sim)
-        if not self._held and self._in_use < self.capacity and not self._queue:
-            self._grant(grant)
-        else:
-            self._queue.append((key, grant))
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.on_enqueue(self, grant)
+        grant = self.acquire(key)
+        if grant is None:
+            grant = Event(self.sim)
+            grant.succeed(self)
         return grant
 
-    def _grant(self, grant: Event) -> None:
+    def acquire(self, key: object = None) -> Event | None:
+        """Take a free slot now, or queue for one.
+
+        Returns None when a slot was free: the caller holds it from this
+        instant, with no grant event. Otherwise returns the queued grant
+        event to wait on, exactly as :meth:`request` would.
+        """
+        if not self._held and self._in_use < self.capacity and not self._queue:
+            self._take(None)
+            return None
+        return self._enqueue(key)
+
+    def _enqueue(self, key: object) -> Event:
+        grant = Event(self.sim)
+        self._queue.append((key, grant))
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.on_enqueue(self, grant)
+        return grant
+
+    def _take(self, grant: Event | None) -> None:
+        """Hand one slot to ``grant`` (None for a synchronous acquire)."""
         self._in_use += 1
         self.granted_count += 1
         self.monitor.acquire()
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.on_grant(self, grant)
+
+    def _grant(self, grant: Event) -> None:
+        self._take(grant)
         grant.succeed(self)
 
     def _pop_next(self) -> Event:
@@ -245,21 +265,16 @@ class WFQResource(Resource):
         self._flow_finish[flow] = finish
         return finish
 
-    def request(self, key: object = None) -> Event:
+    def acquire(self, key: object = None) -> Event | None:
         # The WFQ stamp replaces any positional key the caller passed; the
         # fairness tag comes from the active process, not the call site.
-        grant = Event(self.sim)
         finish = self._stamp()
         if not self._held and self._in_use < self.capacity and not self._queue:
             self._vclock = finish  # uncontended: virtual clock tracks service
-            self._grant(grant)
-        else:
-            self._seq += 1
-            self._queue.append(((finish, self._seq), grant))
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.on_enqueue(self, grant)
-        return grant
+            self._take(None)
+            return None
+        self._seq += 1
+        return self._enqueue((finish, self._seq))
 
     def _pop_next(self) -> Event:
         index = min(range(len(self._queue)), key=lambda i: self._queue[i][0])

@@ -1,8 +1,11 @@
 """Golden results of the scalar DES kernel under faults, QoS and barriers.
 
-The values in ``tests/data/des_golden.json`` were recorded on the kernel
-that still kept every event, zero-delay ones included, on its one binary
-heap. A kernel change that keeps the same events in the same dispatch
+The values in ``tests/data/des_golden.json`` were first recorded on the
+kernel that kept every event, zero-delay ones included, on its one binary
+heap, and re-recorded once when the kernel stopped making events that
+change nothing: synchronous grants of free server slots, in-place ends of
+processes nobody waits on, and resilient serves run inside the requesting
+process. A kernel change that keeps the same events in the same dispatch
 order reproduces them bit for bit. Three runs are pinned:
 
 - ``checkpoint``: a replicated checkpoint write and restart read on 6H+2S

@@ -1,5 +1,8 @@
 """Unit tests for the DES kernel: events, timeouts, processes, combinators."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simulate.engine import (
@@ -228,6 +231,53 @@ class TestProcess:
         sim.process(interrupter())
         with pytest.raises(Interrupt):
             sim.run(proc)
+
+
+    def test_process_that_survives_an_interrupt_is_unhooked_from_its_target(self):
+        """The event a process waited on when interrupted never resumes it."""
+        sim = Simulator()
+        log = []
+
+        def survivor():
+            try:
+                yield sim.timeout(1.0, "stale")
+            except Interrupt as interrupt:
+                log.append((interrupt.cause, sim.now))
+            value = yield sim.timeout(5.0, "fresh")
+            log.append((value, sim.now))
+
+        proc = sim.process(survivor())
+
+        def interrupter():
+            yield sim.timeout(0.5)
+            proc.interrupt("poke")
+
+        sim.process(interrupter())
+        sim.run()
+        assert log == [("poke", 0.5), ("fresh", 5.5)]
+        assert proc.processed and proc.value is None
+
+    def test_cancel_releases_a_finished_process_before_the_due_time(self):
+        """A cancelled timer drops its callbacks, so a finished process whose
+        timer callback refers to it is collectable before the timer pops."""
+        sim = Simulator()
+
+        def worker():
+            me = sim.active_process
+            guard = sim.timeout(10.0)
+            guard.callbacks.append(lambda _: me.interrupt("late"))
+            yield sim.timeout(1.0)
+            guard.cancel()
+
+        generator = worker()
+        alive = weakref.ref(generator)
+        sim.process(generator)
+        del generator
+        sim.run(until=5.0)
+        gc.collect()
+        assert alive() is None
+        sim.run()
+        assert sim.now == 10.0
 
 
 class TestCombinators:

@@ -209,8 +209,9 @@ def test_events_dispatched_counts_ready_queue_pops():
 
     sim.process(worker())
     sim.run()
-    # Bootstrap, three zero-delay events, three timeouts, the process's end.
-    assert sim.tracer.events_dispatched == 8
+    # Bootstrap, three zero-delay events, three timeouts. The process's end
+    # is no event: nobody waits on it, so it is processed in place.
+    assert sim.tracer.events_dispatched == 7
 
 
 def test_step_counts_and_order_match_run():

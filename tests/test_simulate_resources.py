@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.obs.tracer import EventTracer
 from repro.simulate.engine import SimulationError, Simulator
-from repro.simulate.resources import Resource, Store, UtilizationMonitor
+from repro.simulate.resources import Resource, Store, UtilizationMonitor, WFQResource
 
 
 def hold(sim, resource, duration, log, label):
@@ -93,6 +94,45 @@ class TestResource:
         sim = Simulator()
         resource = Resource(sim, capacity=1)
         assert resource.utilization() == 0.0
+
+
+class TestAcquire:
+    """``acquire`` takes a free slot with no grant event, else queues."""
+
+    def test_free_slot_is_taken_synchronously(self):
+        sim = Simulator()
+        sim.tracer = EventTracer()
+        res = Resource(sim, capacity=1, name="disk")
+        assert res.acquire() is None
+        assert res.in_use == 1 and res.granted_count == 1
+        # The tracer still sees the grant, with no wait.
+        wait = sim.tracer.registry.histogram("resource.disk.wait_s")
+        assert wait.count == 1 and wait.total == 0.0
+        queued = res.acquire()
+        assert queued is not None and not queued.triggered
+        assert res.queue_length == 1
+        res.release()
+        assert queued.triggered and res.in_use == 1
+        sim.run()
+        assert sim.tracer.events_dispatched == 1  # the queued grant only
+
+    def test_wfq_acquire_stamps_and_moves_the_virtual_clock(self):
+        sim = Simulator()
+        res = WFQResource(sim)
+
+        def tagged():
+            sim.active_process.qos = ("gold", 4.0)
+            assert res.acquire() is None
+            assert res._vclock == 0.25 and res._flow_finish["gold"] == 0.25
+            queued = res.acquire()
+            assert res._queue[0][0][0] == 0.5
+            res.release()
+            yield queued
+            res.release()
+
+        sim.process(tagged())
+        sim.run()
+        assert res.in_use == 0 and res._vclock == 0.5
 
 
 class TestUtilizationMonitor:
