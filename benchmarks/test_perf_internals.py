@@ -594,12 +594,13 @@ def test_perf_harl_plan_fig11(benchmark):
 def test_perf_des_resilient_serve(benchmark):
     """The scalar DES serve path under faults and QoS, with no fault firing.
 
-    Every sub-request runs as its own process through ``_serve_resilient``:
-    a retry policy races each serve against a timeout (an ``any_of`` and a
-    lazily cancelled guard), every server tracks its in-flight serves for
-    crash interruption, and the disks grant in weighted-fair order from the
-    handles' QoS tags. This is the serving half of ``des-chaos``; its cost
-    is mostly zero-delay events (bootstraps, grants, completions).
+    Every request spans several servers, so each sub-request runs as its
+    own process through ``_serve_resilient``, which serves it inline under
+    an attempt timer on the filesystem's retry watchdog. Every server
+    tracks its in-flight serves for crash interruption, and the disks grant
+    in weighted-fair order from the handles' QoS tags. This is the serving
+    half of ``des-chaos``; its cost is mostly zero-delay events (process
+    bootstraps and ends, queued grants).
     """
     from repro.faults.retry import RetryPolicy
 

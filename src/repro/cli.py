@@ -65,6 +65,7 @@ from repro.obs import (
     write_spans_csv,
 )
 from repro.online import DataLossError, RebuildConfig
+from repro.pfs.health import ServerUnavailable
 from repro.pfs.integrity import IntegrityError
 from repro.pfs.layout import FixedLayout, RandomLayout, RegionLevelLayout
 from repro.util.units import KiB, format_size, parse_size
@@ -520,6 +521,10 @@ def cmd_run_ior(args: argparse.Namespace) -> int:
         print(f"error: unrepairable data corruption: {exc}", file=sys.stderr)
         if args.replicas < 2:
             print("hint: rerun with --replicas 2 to enable read-path repair", file=sys.stderr)
+        return 1
+    except ServerUnavailable as exc:
+        # Every retry attempt of a sub-request met a dead or hung server.
+        print(f"error: server unavailable: {exc}", file=sys.stderr)
         return 1
     config = workload.config
     print(

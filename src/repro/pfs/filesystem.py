@@ -19,6 +19,7 @@ base so positional device models see disjoint areas.
 from __future__ import annotations
 
 import bisect
+from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,31 +77,101 @@ class _AttemptTimer:
     ``retry_timeout`` seconds after it is armed, the timer interrupts the
     process that armed it with :attr:`expired`, a :class:`ServerUnavailable`
     the serve's stages re-raise after releasing their slots. :meth:`disarm`
-    cancels the timer and, if it fired in the same instant as the serve
-    ended, the interrupt's pending wake-up.
+    kills the timer and, if it fired in the same instant as the serve
+    ended, cancels the interrupt's pending wake-up.
+
+    The timer schedules no event of its own. It reserves the sequence
+    number its ``Timeout`` would have taken and joins the filesystem's
+    :class:`_Watchdog` for its timeout, which fires it at exactly that
+    ``(deadline, sequence)``.
     """
 
-    __slots__ = ("proc", "server", "timeout", "event", "wakeup", "expired")
+    __slots__ = ("proc", "server", "timeout", "deadline", "sequence", "wakeup", "expired")
 
-    def __init__(self, sim: Simulator, retry_timeout: float, server: str):
+    def __init__(self, pfs: "ParallelFileSystem", retry_timeout: float, server: str):
+        sim = pfs.sim
         self.proc = sim.active_process
         self.server = server
         self.timeout = retry_timeout
         self.wakeup = None
         self.expired = None
-        self.event = sim.timeout(retry_timeout)
-        self.event.callbacks.append(self._fire)
+        self.deadline = sim.now + retry_timeout
+        self.sequence = sim.reserve_sequence()
+        watchdog = pfs._watchdogs.get(retry_timeout)
+        if watchdog is None:
+            watchdog = pfs._watchdogs[retry_timeout] = _Watchdog(sim)
+        watchdog.arm(self)
 
-    def _fire(self, _event) -> None:
+    def fire(self) -> None:
         self.expired = ServerUnavailable(
             f"{self.server}: no response within {self.timeout:g}s", server=self.server
         )
         self.wakeup = self.proc.interrupt(self.expired)
 
     def disarm(self) -> None:
-        self.event.cancel()
+        self.proc = None  # Dead: the watchdog skips it, and it holds nothing.
         if self.wakeup is not None:
             self.wakeup.cancel()
+
+
+class _Watchdog:
+    """The attempt timers of one retry timeout on one filesystem.
+
+    Timers join a FIFO in arm order. The timeout is constant and the clock
+    never goes back, so the FIFO is also in ``(deadline, sequence)`` order.
+    Only the deadline group of the first live timer is on the heap, each
+    timer under its own reserved ``(deadline, sequence)``, so every live
+    timer fires exactly where its own ``Timeout`` would have. When the
+    group's last entry pops, the watchdog drops the timers that fired or
+    were disarmed and queues the next live timer's group. Disarmed timers
+    cost no event unless they head the queue.
+    """
+
+    __slots__ = ("sim", "timers", "due", "queued")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.timers: deque[_AttemptTimer] = deque()
+        #: Deadline of the group on the heap; None when nothing is queued.
+        self.due: float | None = None
+        #: Heap entries of that group not yet popped.
+        self.queued = 0
+
+    def arm(self, timer: _AttemptTimer) -> None:
+        self.timers.append(timer)
+        if self.due is None:
+            self.due = timer.deadline
+        if timer.deadline == self.due:
+            self._queue(timer)
+
+    def _queue(self, timer: _AttemptTimer) -> None:
+        entry = Event(self.sim)
+        entry._triggered = True
+        entry._value = timer
+        entry.callbacks.append(self._pop)
+        self.sim.schedule_reserved(entry, timer.deadline, timer.sequence)
+        self.queued += 1
+
+    def _pop(self, entry: Event) -> None:
+        timer = entry._value
+        if timer.proc is not None:
+            timer.fire()
+        self.queued -= 1
+        if self.queued:
+            return
+        timers = self.timers
+        now = self.sim.now
+        while timers and (timers[0].proc is None or timers[0].deadline <= now):
+            timers.popleft()
+        if not timers:
+            self.due = None
+            return
+        self.due = due = timers[0].deadline
+        for timer in timers:
+            if timer.deadline != due:
+                break
+            if timer.proc is not None:
+                self._queue(timer)
 
 
 class PFSFile:
@@ -369,7 +440,8 @@ class PFSFile:
             yield from pfs.mds.consult(self.layout, self.name)
         else:
             yield from cache.lookup(self)
-        sub_procs = []
+        # Sub-request generators in spawn order: (generator, name, joined).
+        subs: list[tuple[Generator, str, bool]] = []
         extent_ns = extent_namespace(self.name, self.layout_generation)
         # Every hook stays inert in fault-free runs, so the path below is
         # byte-identical to a build without them.
@@ -413,10 +485,7 @@ class PFSFile:
                     generator = server.serve(op, physical, sub.size)
                 else:
                     generator = self._serve_resilient(op, server_id, physical, sub.size, retry)
-                proc = sim.process(generator, name=f"{server.name}<-{self.name}")
-                if qos is not None:
-                    proc.qos = qos
-                sub_procs.append(proc)
+                subs.append((generator, f"{server.name}<-{self.name}", True))
                 if copies > 1 and op is OpType.WRITE:
                     # Synchronous mirroring: the request completes only once
                     # every copy is durable, so replication's write cost is
@@ -434,25 +503,66 @@ class PFSFile:
                         trailing = copy >= sync_copies
                         if trailing:
                             pfs.quorum_stats["trailing_mirrors"] += 1
-                        mproc = sim.process(
+                        subs.append((
                             pfs._mirror(rserver, roffset, sub.size, trailing),
-                            name=f"{rserver.name}<-{self.name}:copy{copy}",
-                        )
-                        if qos is not None:
-                            mproc.qos = qos
-                        if not trailing:
-                            sub_procs.append(mproc)
+                            f"{rserver.name}<-{self.name}:copy{copy}",
+                            not trailing,
+                        ))
                     if copies > sync_copies:
                         pfs.quorum_stats["acks"] += 1
-        if len(sub_procs) == 1:
-            yield sub_procs[0]
-        elif sub_procs:
-            yield sim.all_of(sub_procs)
+        if len(subs) == 1 and subs[0][2] and sim.quiescent():
+            # A lone sub-request's bootstrap would be dispatched next: serve
+            # it here instead, with no process of its own.
+            yield from self._serve_in_place(subs[0][0], qos)
+        else:
+            joined = self._spawn(subs, qos)
+            if len(joined) == 1:
+                yield joined[0]
+            elif joined:
+                yield sim.all_of(joined)
         if op is OpType.READ:
             self.bytes_read += size
         else:
             self.bytes_written += size
         return sim.now - started
+
+    def _spawn(self, subs: list[tuple[Generator, str, bool]], qos) -> list[Process]:
+        """Start each sub-request as a process; returns the joined ones."""
+        sim = self.pfs.sim
+        joined = []
+        for generator, name, join in subs:
+            proc = sim.process(generator, name=name)
+            if qos is not None:
+                proc.qos = qos
+            if join:
+                joined.append(proc)
+        return joined
+
+    def _serve_in_place(self, generator: Generator, qos) -> Generator:
+        """Run a lone sub-request in the requesting process.
+
+        Called only when :meth:`Simulator.quiescent` holds, so the spawned
+        process's bootstrap would have been dispatched next. The process
+        carries the handle's ``qos`` tag while it serves (WFQ reads it at
+        acquire). When the serve returns or raises, the spawned process's
+        end event would have resumed the requester: unless the instant is
+        still quiescent, one zero-delay event stands in for it.
+        """
+        sim = self.pfs.sim
+        proc = sim.active_process
+        tag = getattr(proc, "qos", None)
+        proc.qos = qos
+        error = None
+        try:
+            yield from generator
+        except Exception as exc:
+            error = exc
+        finally:
+            proc.qos = tag
+        if not sim.quiescent():
+            yield sim.timeout(0.0)
+        if error is not None:
+            raise error
 
     def _serve_resilient(
         self, op: OpType, server_id: int, offset: int, size: int, retry
@@ -482,7 +592,7 @@ class PFSFile:
             failure: ServerUnavailable | None = None
             timer = None
             if retry.timeout is not None:
-                timer = _AttemptTimer(sim, retry.timeout, server.name)
+                timer = _AttemptTimer(self.pfs, retry.timeout, server.name)
             try:
                 yield from server.serve(op, offset, size)
             except ServerUnavailable as exc:
@@ -790,6 +900,8 @@ class ParallelFileSystem:
         self.health = ServerHealth(self.class_counts)
         #: Filesystem-wide default RetryPolicy; None = no timeouts/retries.
         self.retry = None
+        #: Retry timeout (seconds) -> the :class:`_Watchdog` of its timers.
+        self._watchdogs: dict[float, _Watchdog] = {}
         #: Batched-submission counters, exported as ``pfs.batch.*`` metrics
         #: once any batch has been submitted.
         self.batch_stats = {

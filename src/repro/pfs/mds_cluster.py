@@ -44,8 +44,10 @@ or under ``--jobs N``.
 The cluster is the filesystem's only metadata service; the default is one
 shard. With ``n_shards=1`` and no armed mds faults,
 :meth:`MetadataCluster.consult` is one queued service slot per lookup
-(request → service timeout → release, zero hops); the golden results in
-``tests/test_mds_golden.py`` pin that event sequence.
+(grant → service timeout → release, zero hops); the golden results in
+``tests/test_mds_golden.py`` pin those results. The grant is an event
+unless :meth:`~repro.simulate.engine.Simulator.quiescent` holds, when a
+free slot is taken at once: the grant would have been dispatched next.
 """
 
 from __future__ import annotations
@@ -666,7 +668,11 @@ class MetadataCluster:
                         shard.lookup_count += 1
                         return
                     service = shard._service
-                    grant = yield service.request()
+                    # With nothing else due now, a free slot's grant event
+                    # would be dispatched next: take the slot at once.
+                    grant = service.acquire() if sim.quiescent() else service.request()
+                    if grant is not None:
+                        yield grant
                     try:
                         yield sim.timeout(service_time)
                     finally:

@@ -6,6 +6,8 @@ The execution model:
   events due later, and a FIFO ready queue for events due now (zero-delay
   events: process bootstraps, resource grants, completions). Dispatch
   follows ``(time, sequence)`` order across both; see :meth:`Simulator.run`.
+  :meth:`Simulator.quiescent` tells a process when a zero-delay event it
+  would schedule is the next thing dispatched, so it may skip the event.
 - An :class:`Event` is a one-shot occurrence with a value and callbacks.
 - A :class:`Process` wraps a generator. Each ``yield``ed event registers the
   process as a callback; when the event fires, the generator is resumed with
@@ -383,13 +385,27 @@ class Simulator:
     :meth:`run`), so moving an event between the two changes no result.
     """
 
-    __slots__ = ("_now", "_heap", "_ready", "_sequence", "_active_process", "tracer")
+    __slots__ = (
+        "_now",
+        "_heap",
+        "_ready",
+        "_sequence",
+        "_unqueued",
+        "_fanout",
+        "_active_process",
+        "tracer",
+    )
 
     def __init__(self):
         self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._ready: deque[Event] = deque()
         self._sequence = 0
+        #: Sequence numbers reserved (:meth:`reserve_sequence`) but not yet
+        #: queued; the dispatched-event count leaves them out.
+        self._unqueued = 0
+        #: True while the loop dispatches an event with several callbacks.
+        self._fanout = False
         self._active_process: Process | None = None
         #: Optional observability hook (see :mod:`repro.obs`). When None —
         #: the default — every instrumented layer skips its recording with
@@ -406,6 +422,47 @@ class Simulator:
     def active_process(self) -> Process | None:
         """The process currently executing, if any (for resource bookkeeping)."""
         return self._active_process
+
+    def quiescent(self) -> bool:
+        """True when nothing else is due at the current instant.
+
+        The ready queue is empty and the event being dispatched has no
+        other callbacks, so a zero-delay event scheduled now would be the
+        next thing dispatched. A process may then do at once what that
+        event would have resumed it to do: the order of every other event
+        stays the same.
+        """
+        return not self._ready and not self._fanout
+
+    def reserve_sequence(self) -> int:
+        """Take the sequence number the next scheduled event would get.
+
+        The caller later queues an event under it with
+        :meth:`schedule_reserved`, or never: a number left unused only
+        leaves a gap, which orders nothing differently.
+        """
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        self._unqueued += 1
+        return sequence
+
+    def schedule_reserved(self, event: Event, time: float, sequence: int) -> None:
+        """Queue a triggered ``event`` at absolute ``time`` under a
+        ``sequence`` number taken earlier with :meth:`reserve_sequence`.
+
+        It is dispatched where an event scheduled when the number was
+        reserved, due at ``time``, would have been. ``time`` must be in the
+        future, or now if no number was taken since ``sequence``.
+        """
+        if time == self._now and sequence == self._sequence - 1:
+            self._ready.append(event)
+        elif not time > self._now:
+            raise SimulationError(
+                f"cannot schedule sequence {sequence} at {time}: now is {self._now}"
+            )
+        else:
+            _heappush(self._heap, (time, sequence, event))
+        self._unqueued -= 1
 
     def _schedule(self, event: Event, delay: float) -> None:
         sequence = self._sequence
@@ -529,7 +586,11 @@ class Simulator:
             event._processed = True
             return
         had_waiters = bool(event.callbacks)
-        event._run_callbacks()
+        self._fanout = had_waiters and len(event.callbacks) > 1
+        try:
+            event._run_callbacks()
+        finally:
+            self._fanout = False
         if (
             event._exception is not None
             and not had_waiters
@@ -561,6 +622,10 @@ class Simulator:
         sequence order, and dispatch follows exactly the ``(time,
         sequence)`` order of a kernel that keeps every event on the heap.
 
+        While it dispatches an event with several callbacks, the loop sets
+        the flag that makes :meth:`quiescent` false: a later callback of
+        the same event is still due.
+
         The loop bodies inline :meth:`step` (callback dispatch plus the
         unjoined-failure check) with everything bound to locals: this
         is the innermost loop of every experiment, executed once per
@@ -574,11 +639,12 @@ class Simulator:
         append = ready.append
         # Observability: rather than touching the tracer per event (which
         # would tax the hot loop even when idle), the dispatched-event count
-        # is derived on exit — every scheduled event gets a sequence number,
-        # so pops == (new sequences) + (shrinkage of heap and ready queue).
+        # is derived on exit — every queued event has a sequence number, so
+        # pops == (new sequences, less those reserved and not yet queued)
+        # + (shrinkage of heap and ready queue).
         tracer = self.tracer
         if tracer is not None:
-            sequence_start = self._sequence
+            sequence_start = self._sequence - self._unqueued
             pending_start = len(heap) + len(ready)
         try:
             if isinstance(until, Event):
@@ -603,8 +669,13 @@ class Simulator:
                     event.callbacks = None
                     event._processed = True
                     if callbacks:
-                        for callback in callbacks:
-                            callback(event)
+                        if len(callbacks) == 1:
+                            callbacks[0](event)
+                        else:
+                            self._fanout = True
+                            for callback in callbacks:
+                                callback(event)
+                            self._fanout = False
                     elif (
                         event._exception is not None
                         and not isinstance(event._exception, Interrupt)
@@ -633,8 +704,13 @@ class Simulator:
                 event.callbacks = None
                 event._processed = True
                 if callbacks:
-                    for callback in callbacks:
-                        callback(event)
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        self._fanout = True
+                        for callback in callbacks:
+                            callback(event)
+                        self._fanout = False
                 elif (
                     event._exception is not None
                     and not isinstance(event._exception, Interrupt)
@@ -644,7 +720,9 @@ class Simulator:
                 self._now = horizon
             return None
         finally:
+            self._fanout = False  # A callback raised out of a fan-out.
             if tracer is not None:
                 tracer.events_dispatched += (
-                    self._sequence - sequence_start + pending_start - len(heap) - len(ready)
+                    self._sequence - self._unqueued - sequence_start
+                    + pending_start - len(heap) - len(ready)
                 )

@@ -117,6 +117,16 @@ class TestRunIOR:
         assert main(self.BASE + ["--layout", "64K", "--op", "read"]) == 0
         assert "read" in capsys.readouterr().out
 
+    def test_server_unavailable_is_one_error_line(self, capsys):
+        # A server hung past every retry attempt ends the run with a typed
+        # outcome (exit 1, one error line), not a ServerUnavailable traceback.
+        code = main(self.BASE + ["--layout", "64K", "--faults", "hang:hserver0@0.0+30"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: server unavailable: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "giving up on hserver0 after 4 attempt(s)" in err
+
     def test_trace_out_writes_chrome_trace(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         assert main(self.BASE + ["--layout", "64K", "--trace-out", str(out)]) == 0

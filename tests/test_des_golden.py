@@ -2,11 +2,19 @@
 
 The values in ``tests/data/des_golden.json`` were first recorded on the
 kernel that kept every event, zero-delay ones included, on its one binary
-heap, and re-recorded once when the kernel stopped making events that
-change nothing: synchronous grants of free server slots, in-place ends of
-processes nobody waits on, and resilient serves run inside the requesting
-process. A kernel change that keeps the same events in the same dispatch
-order reproduces them bit for bit. Three runs are pinned:
+heap. They were re-recorded twice since:
+
+- when the kernel stopped making events that change nothing: synchronous
+  grants of free server slots, in-place ends of processes nobody waits
+  on, and resilient serves run inside the requesting process (this moved
+  serving results and two checkpoint busy sums on purpose);
+- when lone sub-requests began to be served in the requesting process and
+  metadata grants to be taken synchronously whenever
+  ``Simulator.quiescent`` holds, and retry-attempt timers moved onto one
+  watchdog per timeout. Only the ``events`` counts moved.
+
+A kernel change that keeps the same events in the same dispatch order
+reproduces them bit for bit. Three runs are pinned:
 
 - ``checkpoint``: a replicated checkpoint write and restart read on 6H+2S
   with an HServer crash and restore, corrupted units on both server
@@ -26,7 +34,9 @@ comes from the tracer) and untraced; both must match the record.
 
 Regenerate the file (only when a change is *meant* to move simulated
 results or the DES event stream) with
-``PYTHONPATH=src python tests/test_des_golden.py``.
+``PYTHONPATH=src python tests/test_des_golden.py``. Before writing, it
+prints every field that moved in each run, old and new value, so a
+re-record meant to move only ``events`` can be reviewed as such.
 """
 
 from __future__ import annotations
@@ -222,8 +232,24 @@ def test_checkpoint_extent_keys_round_trip():
     assert kinds == {(False, False), (True, False), (False, True)}
 
 
+def moved_fields(old, new, path: str = "") -> list[str]:
+    """Dotted paths of the leaves that differ, each with both values."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        moved = []
+        for key in sorted(old.keys() | new.keys()):
+            moved += moved_fields(old.get(key), new.get(key), f"{path}.{key}" if path else key)
+        return moved
+    return [] if old == new else [f"{path}: {old!r} -> {new!r}"]
+
+
 if __name__ == "__main__":
     records = {run: capture(run) for run in RUNS}
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for run, record in records.items():
+        moved = moved_fields(previous.get(run), record)
+        sys.stdout.write(f"{run}: {len(moved)} field(s) moved\n")
+        for line in moved:
+            sys.stdout.write(f"  {line}\n")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {len(records)} golden records to {GOLDEN}\n")
