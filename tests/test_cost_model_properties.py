@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.cost_model import request_cost, request_cost_breakdown, total_cost_vectorized
 from repro.core.params import CostModelParameters
+from repro.core.stripe_determination import determine_stripes, reference_determine_stripes
 from repro.devices.profiles import DeviceProfile
 from repro.util.units import KiB
 
@@ -138,3 +139,65 @@ def test_write_never_cheaper_than_read_on_sservers(data):
     read = request_cost(params, "read", offset, size, 0, s)
     write = request_cost(params, "write", offset, size, 0, s)
     assert write >= read - 1e-15
+
+
+@st.composite
+def _straddling_region(draw):
+    """A region whose grid puts ``max round size + max request size`` on
+    either side of ``2**31``: the cost kernel's int32/int64 dtype bound.
+
+    Request sizes sit near ``2**31 / (M + N + 1)``, the grid step is an
+    eighth of the largest request (a multiple of 4 KiB), and offsets reach
+    past ``2**32``.
+    """
+    params = draw(_params())
+    width = params.n_hservers + params.n_sservers + 1
+    centre = 2**31 // width
+    k = draw(st.integers(min_value=1, max_value=5))
+    szs = np.array(
+        [draw(st.integers(min_value=centre * 3 // 4, max_value=centre * 5 // 4)) for _ in range(k)],
+        dtype=np.int64,
+    )
+    offs = np.array(
+        [draw(st.integers(min_value=0, max_value=2**33)) for _ in range(k)], dtype=np.int64
+    )
+    step = max(4 * KiB, int(szs.max()) // 8 // (4 * KiB) * (4 * KiB))
+    return params, offs, szs, step
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_vectorized_equals_scalar_across_the_int32_bound(data):
+    """Every candidate's summed cost equals the scalar per-request sum."""
+    params, offs, szs, step = data.draw(_straddling_region())
+    is_read = np.array([data.draw(st.booleans()) for _ in range(offs.shape[0])])
+    top = int(szs.max()) // step * step + step
+    h = data.draw(st.integers(min_value=0, max_value=top // step)) * step
+    s_candidates = np.arange(0 if h else step, top + 1, step, dtype=np.int64)
+    if params.n_sservers == 0:
+        assume(h > 0)
+    if params.n_hservers == 0:
+        s_candidates = s_candidates[s_candidates > 0]
+    totals = total_cost_vectorized(params, offs, szs, is_read, h, s_candidates)
+    for s, total in zip(s_candidates.tolist(), totals):
+        expected = sum(
+            request_cost(params, "read" if r else "write", int(o), int(z), h, s)
+            for o, z, r in zip(offs, szs, is_read)
+        )
+        assert total == pytest.approx(expected, rel=1e-12)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_search_equals_reference_across_the_int32_bound(data):
+    """The vectorized grid search returns the paper loop's choice and cost.
+
+    One op per region: then both searches add the same per-request floats
+    in the same order, so the costs, and hence the tie-breaks, are equal
+    bit for bit. (A mixed region sums reads and writes separately.)
+    """
+    params, offs, szs, step = data.draw(_straddling_region())
+    is_read = np.full(offs.shape[0], data.draw(st.booleans()))
+    fast = determine_stripes(params, offs, szs, is_read, step=step)
+    slow = reference_determine_stripes(params, offs, szs, is_read, step=step)
+    assert (fast.hstripe, fast.sstripe, fast.cost) == (slow.hstripe, slow.sstripe, slow.cost)

@@ -18,7 +18,11 @@ region, the merged RST and every cost as ``float.hex``, bit for bit:
   equal. The K-class digest is the one recorded value that moved: the
   K-class model used to add each candidate's requests pairwise, and its
   sums differed from the two-class sums by up to 5 ulp;
-- ``multiclass-3tier``: the coordinate-descent search over three tiers.
+- ``multiclass-3tier``: the coordinate-descent search over three tiers;
+- ``large-requests``: 2-3 GiB requests at offsets above ``2**32`` on a
+  128 MiB grid, so every round size plus request size exceeds ``2**31``
+  and the cost kernel runs in int64; its choice and cost grid were
+  recorded before the kernel learned to narrow to int32.
 
 Regenerate the file (only when a change is *meant* to move planner
 results) with ``PYTHONPATH=src python tests/test_plan_golden.py``.
@@ -43,10 +47,10 @@ from repro.core.multiclass import (
     multiclass_total_cost,
 )
 from repro.core.planner import HARLPlanner
-from repro.core.stripe_determination import clear_stripe_cache
+from repro.core.stripe_determination import clear_stripe_cache, determine_stripes
 from repro.devices.profiles import DeviceProfile
 from repro.experiments.harness import Testbed, harl_plan
-from repro.util.units import KiB, MiB
+from repro.util.units import GiB, KiB, MiB
 from repro.workloads.ior import IORConfig, IORWorkload
 from repro.workloads.synthetic import RegionSpec, SyntheticRegionWorkload
 from repro.workloads.traces import trace_arrays
@@ -174,6 +178,28 @@ def _multiclass_case() -> dict:
     return {"stripes": list(choice.stripes), "cost": choice.cost.hex()}
 
 
+def _large_case() -> dict:
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(2 * GiB, 3 * GiB, 24).astype(np.int64)
+    gaps = rng.integers(0, 64 * MiB, 24).astype(np.int64)
+    offsets = 2**32 + 4097 + np.concatenate([[0], np.cumsum(sizes + gaps)[:-1]])
+    is_read = np.zeros(24, dtype=bool)
+    is_read[::3] = True
+    params = _testbed().parameters()
+    step = 128 * MiB
+    choice = determine_stripes(params, offsets, sizes, is_read, step=step)
+    costs = [
+        total_cost_vectorized(params, offsets, sizes, is_read, h,
+                              np.arange(h + step, 3 * GiB + 1, step, dtype=np.int64))
+        for h in range(0, 3 * GiB, 512 * MiB)
+    ]
+    return {
+        "choice": [choice.hstripe, choice.sstripe, choice.cost.hex()],
+        "costs": _digest(*costs),
+        "sample": [float(c).hex() for c in np.concatenate([c[::4] for c in costs])],
+    }
+
+
 CASES = {
     **{
         f"fig11/{op}/seed={seed}": (lambda op=op, seed=seed: _harl(_fig11(op, seed)))
@@ -188,6 +214,7 @@ CASES = {
     "uniform": _uniform_case,
     "grid": _grid_case,
     "multiclass-3tier": _multiclass_case,
+    "large-requests": _large_case,
 }
 
 
