@@ -55,8 +55,10 @@ import sys
 from pathlib import Path
 
 from repro.core.planner import HARLPlanner
+from repro.core.stripe_determination import stripe_cache_capacity
 from repro.experiments import figures
 from repro.experiments.harness import Testbed, harl_plan, run_workload, run_workload_batched
+from repro.experiments.parallel import resolve_jobs
 from repro.faults import FaultSchedule, FaultSpecError, RetryPolicy, parse_faults
 from repro.obs import (
     record_plan_report,
@@ -1526,6 +1528,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        # Read the environment settings once, up front, so a malformed one
+        # is a usage error on every command rather than a traceback from
+        # whichever layer reads it first.
+        resolve_jobs()
+        stripe_cache_capacity()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

@@ -730,3 +730,31 @@ class TestReplayBenchChunked:
         assert f"makespan {makespan}s" in out
         assert f"  {subrequests} sub-requests" in out
         assert "3 columnar + 0 event-heap + 0 general" in out
+
+
+class TestBadEnvironment:
+    """A malformed ``REPRO_JOBS`` or ``REPRO_STRIPE_CACHE`` exits 2 with one
+    ``error:`` line on every command.
+
+    Both used to raise ``ValueError`` from whichever layer first read them
+    (``resolve_jobs``, ``stripe_cache_capacity``): a traceback and exit 1,
+    except on ``run-ior --layout harl``, which caught it.
+    """
+
+    BED = ["--hservers", "1", "--sservers", "1"]
+
+    @pytest.mark.parametrize("var", ["REPRO_JOBS", "REPRO_STRIPE_CACHE"])
+    @pytest.mark.parametrize("command", ["calibrate", "plan", "run-figure", "run-ior"])
+    def test_non_integer_value_exits_two(self, var, command, tmp_path, monkeypatch, capsys):
+        argv = {
+            "calibrate": ["calibrate", *self.BED],
+            "plan": ["plan", "--trace", str(TestPlan().make_trace_file(tmp_path)), *self.BED],
+            "run-figure": ["run-figure", "fig9"],
+            "run-ior": ["run-ior", *self.BED, "--processes", "2", "--file-size", "1M",
+                        "--layout", "harl"],
+        }[command]
+        monkeypatch.setenv(var, "abc")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {var} must be an integer, got 'abc'")
+        assert len(err.strip().splitlines()) == 1
