@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.cost_model import _summed_cost
 from repro.devices.base import OpType
 from repro.devices.profiles import DeviceProfile
+from repro.pfs.mapping import round_split
 from repro.pfs.tiered import ClassStripe, MultiClassStripingConfig
 from repro.util.units import KiB, format_size
 from repro.util.validation import check_positive
@@ -127,13 +128,13 @@ def multiclass_total_cost(
         )
     if np.any(stripe_matrix < 0):
         raise ValueError("stripe sizes must be >= 0")
-    if np.any(stripe_matrix @ np.array(params.class_counts, dtype=np.int64) <= 0):
+    round_sizes = stripe_matrix @ np.array(params.class_counts, dtype=np.int64)
+    if np.any(round_sizes <= 0):
         raise ValueError("every candidate must distribute some data")
     return _summed_cost(
         [(tier.count, tier.profile) for tier in params.tiers],
         params.unit_network_time,
-        offsets,
-        sizes,
+        round_split(offsets, sizes, round_sizes[:, None]),
         is_read,
         stripe_matrix,
     )

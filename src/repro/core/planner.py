@@ -33,7 +33,7 @@ from repro.core.stripe_determination import (
 from repro.pfs.layout import RegionLevelLayout
 from repro.pfs.mapping import StripingConfig
 from repro.util.units import KiB, MiB
-from repro.workloads.traces import TraceRecord, sort_trace, trace_arrays
+from repro.workloads.traces import TraceColumns, TraceRecord, sort_trace, trace_arrays
 
 
 @dataclass
@@ -115,10 +115,14 @@ class HARLPlanner:
 
     def plan(
         self,
-        trace: Sequence[TraceRecord],
+        trace: Sequence[TraceRecord] | TraceColumns,
         availability: Sequence[bool] | None = None,
     ) -> RegionStripeTable:
         """Analysis phase: trace records → merged RST.
+
+        ``trace`` may also be the columns of an offset-sorted trace,
+        ``trace_arrays(sort_trace(records))``, for a caller that needs them
+        itself first.
 
         ``availability`` is an optional per-server alive mask (HServers
         first, then SServers, matching the cost-model server order) for
@@ -128,10 +132,11 @@ class HARLPlanner:
         ``PFSFile.relayout(layout, server_map=health.surviving_server_ids())``
         to map those onto the physical survivors.
         """
-        if not trace:
+        if not isinstance(trace, TraceColumns):
+            trace = trace_arrays(sort_trace(trace))
+        if trace.offsets.shape[0] == 0:
             raise ValueError("cannot plan a layout from an empty trace")
-        offsets, sizes, is_read = trace_arrays(sort_trace(trace))
-        return self.plan_from_arrays(offsets, sizes, is_read, availability=availability)
+        return self.plan_from_arrays(*trace, availability=availability)
 
     def _effective_params(self, availability: Sequence[bool] | None) -> CostModelParameters:
         """Cost-model params reduced to the surviving servers, if any died."""
