@@ -388,6 +388,26 @@ def test_perf_algorithm2_inner_loop(benchmark):
     assert benchmark(run) > 0
 
 
+def test_perf_algorithm2_wide_cluster(benchmark):
+    """One h-scan on a 96H+32S cluster: 128 s-candidates x 256 requests.
+
+    The class kernel loops over each class's servers, so this case times
+    that loop at width (128 servers) rather than at the paper's 8.
+    """
+    params = PARAMS.with_servers(96, 32)
+    rng = np.random.default_rng(0)
+    offsets = rng.integers(0, 2**30, 256).astype(np.int64)
+    sizes = np.full(256, 4 * MiB, dtype=np.int64)
+    is_read = rng.random(256) < 0.5
+    s_candidates = np.arange(4 * KiB, 516 * KiB, 4 * KiB, dtype=np.int64)
+
+    def run():
+        costs = total_cost_vectorized(params, offsets, sizes, is_read, 16 * KiB, s_candidates)
+        return float(costs.min())
+
+    assert benchmark(run) > 0
+
+
 def test_perf_decompose_batch(benchmark):
     """Flat-column numpy decomposition of the same 2000 requests as the scalar bench."""
     config = StripingConfig(6, 2, 36 * KiB, 148 * KiB)
