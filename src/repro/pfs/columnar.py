@@ -11,16 +11,18 @@ a *deterministic FIFO recurrence* that numpy can evaluate in bulk:
   ``c`` independent such chains (job ``j`` starts when job ``j - c``
   departs), one per residue lane of the feed order;
 - a capacity-``c`` resource whose service varies per job (HARL's uneven
-  per-server sub-requests on a multi-slot NIC) runs a slot heap: job ``k``
-  is granted at ``max(f_k, earliest slot free time)``.
+  per-server sub-requests on a multi-slot NIC) pops a heap of bare slot
+  free times, which come out sorted; the jobs before the first that can
+  find every slot busy skip the heap (``feed + svc``).
 
 IEEE-754 forbids closed forms (every ``+`` must round in sequence), but
 ``np.add.accumulate`` is an exact sequential left fold, so each busy period
 evaluates as one vectorized cumulative sum; a restart loop re-anchors at
 idle gaps. Utilization intervals fall out arithmetically: for capacity 1
-every departure closes one interval (``d_i - g_i``); for capacity > 1 the
-grants and departures replay in the general path's order and a running
-depth count marks each interval's ends.
+every departure closes one interval (``d_i - g_i``); for capacity > 1 one
+closes at each instant where the grants and departures so far balance (a
+departure that regrants a waiter fires while every slot is busy, so it
+never closes one). Every kernel needs a non-decreasing feed.
 
 Bit-exactness contract: completion times, busy-time floats (same summation
 order), resource counters, device counters/state, and device RNG streams
@@ -37,9 +39,8 @@ fast).
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
+from heapq import heapreplace
 
 import numpy as np
 
@@ -108,6 +109,23 @@ def _prev_done(done: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
+def _chain_busy(
+    feed: np.ndarray, svc: np.ndarray, budget: list
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Departures and busy deltas of a capacity-1 FIFO (None on a bail):
+    every job closes its own interval, ``d_i - max(f_i, d_{i-1})``."""
+    done = _chain(feed, svc, budget)
+    if done is None:
+        return None
+    return done, done - np.maximum(feed, _prev_done(done, 1))
+
+
+def _feed_tie(feed: np.ndarray, done: np.ndarray) -> bool:
+    """Whether a departure lands exactly on a feed instant (``feed`` sorted)."""
+    at = np.searchsorted(feed, done)
+    return bool((feed.take(at, mode="clip") == done).any())
+
+
 def _fifo_const(
     feed: np.ndarray, service: float, cap: int, budget: list
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -118,24 +136,19 @@ def _fifo_const(
     collisions (the general path resolves those by event sequence numbers).
     """
     n = feed.shape[0]
+    svc = np.full(n, service)
     if cap == 1:
-        done = _chain(feed, np.full(n, service), budget)
-        if done is None:
-            return None
-        return done, done - np.maximum(feed, _prev_done(done, 1))
+        return _chain_busy(feed, svc, budget)
     done = np.empty(n, dtype=np.float64)
     for lane in range(min(cap, n)):
-        lane_feed = feed[lane::cap]
-        lane_done = _chain(lane_feed, np.full(lane_feed.shape[0], service), budget)
+        lane_done = _chain(feed[lane::cap], svc[lane::cap], budget)
         if lane_done is None:
             return None
         done[lane::cap] = lane_done
-    if np.isin(feed, done).any():
+    if _feed_tie(feed, done):
         return None  # exact feed/departure tie: ordering is seq-dependent
-    # Departures run in rank order, so waiter k takes the slot of job k - cap.
-    k = np.arange(n)
-    freed_by = np.where(feed < _prev_done(done, cap), k - cap, -1)
-    return done, _slot_deltas(feed, done, freed_by)
+    # Departures run in feed order, so job k takes the slot of job k - cap.
+    return done, _slot_deltas(np.maximum(feed, _prev_done(done, cap)), done)
 
 
 def _fifo_slots(
@@ -143,58 +156,48 @@ def _fifo_slots(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Departures and busy deltas of a capacity-``cap`` FIFO, any service.
 
-    The slot kernel keeps one ``(free time, rank of the departing job)``
-    entry per slot in a min-heap. Job k is granted at ``max(f_k, min free)``
-    and departs at ``fl(g_k + s_k)``; when it had to wait, the popped entry
-    names the departure whose release regranted it. Popping by (time, rank)
-    is the general path's processing order for simultaneous departures
-    (grants fire in FIFO order, so departure event sequence numbers rise
-    with rank). Returns None on an exact feed/departure tie.
+    Job k is granted at ``max(f_k, t_k)``, ``t_k`` the earliest slot free
+    time. The heap holds bare free times: ``d_k >= t_k``, so its pops come
+    out sorted and equal times are interchangeable. Jobs before the first
+    whose feed precedes a departure of jobs ``0..k-cap`` find a free slot;
+    the heap starts there with the ``cap`` largest of their departures.
+    Returns None on an exact feed/departure tie.
     """
-    free = [(-math.inf, -1)] * cap
-    done = []
-    freed_by = []
-    for k, (f, s) in enumerate(zip(feed.tolist(), svc.tolist())):
-        t, rank = free[0]
-        if f < t:  # queued until departure ``rank`` frees its slot
-            d = t + s
-            freed_by.append(rank)
-        else:
-            d = f + s
-            freed_by.append(-1)
-        heapq.heapreplace(free, (d, k))
-        done.append(d)
-    done = np.array(done, dtype=np.float64)
-    if np.isin(feed, done).any():
+    grants = feed
+    done = feed + svc
+    if feed.shape[0] > cap:
+        late = feed[cap:] < np.maximum.accumulate(done[:-cap])
+        if late.any():
+            k0 = cap + int(late.argmax())
+            free = np.sort(done[:k0])[-cap:].tolist()  # sorted, so a heap
+            # heapreplace returns the popped free time t_k.
+            pops = [
+                heapreplace(free, (t if f < (t := free[0]) else f) + s)
+                for f, s in zip(feed[k0:].tolist(), svc[k0:].tolist())
+            ]
+            grants = np.concatenate((feed[:k0], np.maximum(feed[k0:], pops)))
+            done = grants + svc
+    if _feed_tie(feed, done):
         return None  # exact feed/departure tie: ordering is seq-dependent
-    return done, _slot_deltas(feed, done, np.array(freed_by, dtype=np.int64))
+    return done, _slot_deltas(grants, done)
 
 
-def _slot_deltas(feed: np.ndarray, done: np.ndarray, freed_by: np.ndarray) -> np.ndarray:
-    """Busy-interval deltas of a multi-slot FIFO from its schedule.
+def _slot_deltas(grants: np.ndarray, done: np.ndarray) -> np.ndarray:
+    """Busy-interval deltas of a multi-slot FIFO, in closure order.
 
-    ``freed_by[k]`` is the rank of the departure whose release regranted
-    waiter k, or -1 for a direct grant at its feed time. Events replay in
-    ``(time, departure rank, departure-before-regrant)`` order, so each
-    regrant lands right after the departure that freed its slot — exactly
-    ``Resource.release``'s close-then-grant. A plain time sort would move
-    every regrant behind all simultaneous departures and close and reopen
-    an interval the general path keeps open. With feed/departure ties
-    excluded, direct grants never share an instant with a departure. A
-    departure that empties the resource closes an interval; a grant into
-    an empty one opens it.
+    ``grants`` (non-decreasing) and ``done`` are the jobs' grant and
+    departure instants. An interval closes at a departure instant where the
+    grants and departures so far balance, and opens at a grant instant
+    entered balanced. The depth never touches 0 inside an instant (a
+    departure that regrants a waiter fires with every slot busy; a feed on
+    a departure bails), and only an instant's last departure and first
+    grant can meet these tests, so no grouping by instant is needed.
     """
-    n = feed.shape[0]
-    k = np.arange(n)
-    queued = freed_by >= 0
-    times = np.concatenate((done, np.where(queued, done[freed_by], feed)))
-    ranks = np.concatenate((k, np.where(queued, freed_by, k)))
-    regrant = np.concatenate((np.zeros(n, dtype=bool), np.ones(n, dtype=bool)))
-    order = np.lexsort((regrant, ranks, times))
-    is_grant = order >= n
-    depth = np.cumsum(np.where(is_grant, 1, -1))
-    closes = times[order[~is_grant & (depth == 0)]]
-    opens = times[order[is_grant & (depth == 1)]]
+    n = grants.shape[0]
+    departs = np.sort(done)
+    count = np.arange(n)
+    closes = departs[np.searchsorted(grants, departs, "right") == count + 1]
+    opens = grants[np.searchsorted(departs, grants) == count]
     return closes - opens
 
 
@@ -280,10 +283,7 @@ def _server_pass(server, feed, offsets, sizes, op_is_read: bool, budget: list):
 
     def nic_stage(nic_feed):
         if cap == 1:
-            done = _chain(nic_feed, transfer, budget)
-            if done is None:
-                return None
-            return done, done - np.maximum(nic_feed, _prev_done(done, 1))
+            return _chain_busy(nic_feed, transfer, budget)
         if transfer.min() == transfer.max():
             return _fifo_const(nic_feed, float(transfer[0]), cap, budget)
         return _fifo_slots(nic_feed, transfer, cap)
@@ -293,10 +293,10 @@ def _server_pass(server, feed, offsets, sizes, op_is_read: bool, budget: list):
         if svc is None:
             return None
         svc, new_head, new_gc = svc
-        disk_done = _chain(feed, svc, budget)
-        if disk_done is None:
+        disk = _chain_busy(feed, svc, budget)
+        if disk is None:
             return None
-        disk_deltas = disk_done - np.maximum(feed, _prev_done(disk_done, 1))
+        disk_done, disk_deltas = disk
         nic = nic_stage(disk_done)
         if nic is None:
             return None
@@ -317,10 +317,10 @@ def _server_pass(server, feed, offsets, sizes, op_is_read: bool, budget: list):
         if svc is None:
             return None
         svc, new_head, new_gc = svc
-        disk_done = _chain(disk_feed, svc, budget)
-        if disk_done is None:
+        disk = _chain_busy(disk_feed, svc, budget)
+        if disk is None:
             return None
-        disk_deltas = disk_done - np.maximum(disk_feed, _prev_done(disk_done, 1))
+        disk_done, disk_deltas = disk
         completion = np.empty_like(disk_done)
         completion[grant] = disk_done
     return _ServerPass(

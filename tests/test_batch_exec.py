@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.network.link import NetworkModel
+from repro.pfs import columnar
 from repro.pfs.batch import RequestBatch
 from repro.pfs.batch_exec import fast_path_blocker
 from repro.pfs.filesystem import HybridPFS
@@ -579,6 +580,65 @@ class TestColumnarTier:
         batch = RequestBatch(offsets=batch.offsets, sizes=batch.sizes, is_read=is_read)
         stats = self._run_pair(FixedLayout(2, 1, 64 * KiB), batch)
         assert stats["fast_columnar_batches"] == 0
+
+
+class TestColumnarFeedOrder:
+    """Every feed that reaches a columnar kernel is non-decreasing.
+
+    The capacity-1 fold, the slot kernel's queue-free prefix and the
+    multi-slot kernels' sorted tie probe all rely on that order. Queue plans
+    exit the MDS in entry order, fill and hit plans spawn in arrival order,
+    replica mirrors follow their primaries, and reads feed the NIC from the
+    disk's departures: each must still reach its kernel sorted.
+    """
+
+    @pytest.mark.parametrize("timed", [False, True])
+    @pytest.mark.parametrize("op_read", [False, True])
+    def test_kernel_feeds_are_non_decreasing(self, monkeypatch, op_read, timed):
+        feeds, modes = [], []
+        for name in ("_chain", "_fifo_const", "_fifo_slots"):
+
+            def spy(feed, *args, _kernel=getattr(columnar, name), _name=name):
+                feeds.append((_name, feed.copy()))
+                return _kernel(feed, *args)
+
+            monkeypatch.setattr(columnar, name, spy)
+        replay = columnar.replay_columnar
+
+        def spy_replay(pfs, handle, jobs, op_is_read, plan):
+            modes.append(plan.mode)
+            return replay(pfs, handle, jobs, op_is_read, plan)
+
+        monkeypatch.setattr(columnar, "replay_columnar", spy_replay)
+
+        rng = np.random.default_rng(5)
+        n = 96
+        batch = RequestBatch(
+            offsets=rng.integers(0, 8 * 1024 * 1024, n).astype(np.int64),
+            sizes=rng.integers(1, 256 * KiB, n).astype(np.int64),
+            is_read=np.full(n, op_read, dtype=bool),
+            issue_times=rng.random(n) * 1e-3 if timed else None,
+        )
+        for cache in (False, True):
+            sim = Simulator()
+            pfs = HybridPFS.build(
+                sim,
+                2,
+                1,
+                seed=0,
+                mds=MetadataCluster(4, hop_latency=1e-5),
+                mds_cache=cache,
+                nic_parallelism=4,
+            )
+            handle = pfs.create_file("f", FixedLayout(2, 1, 64 * KiB, replicas=2))
+            for _ in range(1 + cache):  # cached: a fill batch, then a hit batch
+                done = handle.request_batch(batch)
+                sim.run(done)
+            assert pfs.batch_stats["fast_columnar_batches"] == 1 + cache, pfs.batch_fallbacks
+        assert modes == ["queue", "fill", "hit"]
+        assert {name for name, _ in feeds} == {"_chain", "_fifo_const", "_fifo_slots"}
+        for name, feed in feeds:
+            assert (feed[1:] >= feed[:-1]).all(), name
 
 
 # ---------------------------------------------------------------------------
