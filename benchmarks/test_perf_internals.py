@@ -520,8 +520,8 @@ def test_perf_batched_replay_1m_speedup(benchmark):
     )
 
 
-def _harl_fig11_write():
-    """Fig. 11's four regions as one write batch under a HARL-shaped RST.
+def _harl_fig11(op: str):
+    """Fig. 11's four regions as one ``op`` batch under a HARL-shaped RST.
 
     Each region stripes HServers and SServers differently (h != s), so one
     server receives 16K-512K sub-requests and its 4-slot NIC sees per-job
@@ -548,18 +548,15 @@ def _harl_fig11_write():
     workload = SyntheticRegionWorkload(
         [RegionSpec(size, request, coverage=0.25) for size, request, _, _ in regions],
         n_processes=16,
+        op=op,
         seed=1,
     )
     return RegionLevelLayout(RegionStripeTable(entries)), workload.request_batch()
 
 
-def test_perf_harl_uneven_columnar_replay(benchmark):
-    """A HARL write batch with uneven sub-requests on 4-slot NICs.
-
-    Guards the columnar tier's slot kernel: this shape must replay
-    vectorized, not fall back to the per-sub-request event heap.
-    """
-    layout, batch = _harl_fig11_write()
+def _bench_fig11_replay(benchmark, op: str, name: str) -> None:
+    """Time one columnar replay of :func:`_harl_fig11`, gated at 2x ``name``."""
+    layout, batch = _harl_fig11(op)
 
     def run():
         sim = Simulator()
@@ -571,9 +568,24 @@ def test_perf_harl_uneven_columnar_replay(benchmark):
 
     result = benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
     assert result > 0
-    baseline = _baseline_mean("test_perf_harl_uneven_columnar_replay")
+    baseline = _baseline_mean(name)
     if baseline is not None:
         assert benchmark.stats.stats.mean <= baseline * 2.0
+
+
+def test_perf_harl_uneven_columnar_replay(benchmark):
+    """A HARL write batch with uneven sub-requests on 4-slot NICs.
+
+    Guards the columnar tier's slot kernel: this shape must replay
+    vectorized, not fall back to the per-sub-request event heap.
+    """
+    _bench_fig11_replay(benchmark, "write", "test_perf_harl_uneven_columnar_replay")
+
+
+def test_perf_harl_uneven_columnar_read(benchmark):
+    """The same HARL batch as reads: each server's disk departures feed its
+    4-slot NIC, so the slot kernel sees a staggered feed, not a burst."""
+    _bench_fig11_replay(benchmark, "read", "test_perf_harl_uneven_columnar_read")
 
 
 def test_perf_harl_plan_fig11(benchmark):
