@@ -264,15 +264,18 @@ class MultiTierPlanner:
         self.merge_regions = merge_regions
 
     def plan(self, trace):
-        """Trace records → merged multi-tier RST."""
+        """Trace records, or an offset-sorted trace's columns → merged
+        multi-tier RST."""
         from repro.core.region_division import divide_regions_bounded
         from repro.core.rst import RegionStripeTable, RSTEntry
         from repro.util.units import MiB
-        from repro.workloads.traces import sort_trace, trace_arrays
+        from repro.workloads.traces import TraceColumns, sort_trace, trace_arrays
 
-        if not trace:
+        if not isinstance(trace, TraceColumns):
+            trace = trace_arrays(sort_trace(trace))
+        offsets, sizes, is_read = trace
+        if offsets.shape[0] == 0:
             raise ValueError("cannot plan a layout from an empty trace")
-        offsets, sizes, is_read = trace_arrays(sort_trace(trace))
 
         region_chunk = self.region_chunk
         if region_chunk is None:

@@ -31,6 +31,11 @@ from repro.devices.base import OpType, StorageDevice
 from repro.util.units import MiB, GiB
 from repro.util.validation import check_non_negative, check_positive
 
+#: Positional startup split: shares of the (α_max - α_min) span spent on
+#: the distance-dependent seek and on the uniform rotational latency.
+SEEK_SHARE = 0.6
+ROTATION_SHARE = 0.4
+
 
 class HDDModel(StorageDevice):
     """Seek-dominated rotating disk.
@@ -82,10 +87,28 @@ class HDDModel(StorageDevice):
         # bounded so total startup stays within [alpha_min, alpha_max].
         distance = abs(offset - self._head_position) / self.capacity
         seek_span = self.alpha_max - self.alpha_min
-        seek = self.alpha_min + 0.6 * seek_span * float(np.sqrt(min(1.0, distance)))
-        rotation = float(self.rng.uniform(0.0, 0.4 * seek_span))
+        seek = self.alpha_min + SEEK_SHARE * seek_span * float(np.sqrt(min(1.0, distance)))
+        rotation = float(self.rng.uniform(0.0, ROTATION_SHARE * seek_span))
         self._head_position = offset + size
         return seek + rotation
 
     def transfer_time(self, op: OpType, size: int) -> float:
         return size * self.beta
+
+    def _service_stream(self, is_read: bool, offsets: np.ndarray, sizes: np.ndarray):
+        """:meth:`startup_time` and :meth:`transfer_time` over a request
+        sequence: one ``uniform`` call draws the scalar calls' stream, and
+        each positional seek starts where the previous request ended."""
+        n = sizes.shape[0]
+        if not self.positional:
+            startup = self.rng.uniform(self.alpha_min, self.alpha_max, n)
+            return startup, sizes * self.beta, {}
+        heads = np.empty_like(offsets)
+        heads[0] = self._head_position
+        np.add(offsets[:-1], sizes[:-1], out=heads[1:])
+        distance = np.abs(offsets - heads) / float(self.capacity)
+        seek_span = self.alpha_max - self.alpha_min
+        seek = self.alpha_min + (SEEK_SHARE * seek_span) * np.sqrt(np.minimum(1.0, distance))
+        startup = seek + self.rng.uniform(0.0, ROTATION_SHARE * seek_span, n)
+        state = {"_head_position": int(offsets[-1] + sizes[-1])}
+        return startup, sizes * self.beta, state

@@ -30,6 +30,11 @@ from repro.devices.base import OpType, StorageDevice
 from repro.util.units import KiB, MiB
 from repro.util.validation import check_non_negative, check_positive
 
+#: Channel speedup: sub-chunk requests stream at ``CHANNEL_FLOOR`` of the
+#: nominal bandwidth, and all channels engaged reach the full rate.
+CHANNEL_FLOOR = 0.6
+CHANNEL_SPAN = 0.4
+
 
 class SSDModel(StorageDevice):
     """Flash drive with read/write asymmetry and GC stalls.
@@ -116,8 +121,46 @@ class SSDModel(StorageDevice):
         sub-chunk requests to 100% once all channels are engaged.
         """
         engaged = min(self.n_channels, max(1, -(-size // self.channel_chunk)))
-        return 0.6 + 0.4 * (engaged / self.n_channels)
+        return CHANNEL_FLOOR + CHANNEL_SPAN * (engaged / self.n_channels)
 
     def transfer_time(self, op: OpType, size: int) -> float:
         beta = self.beta_read if op is OpType.READ else self.beta_write
         return size * beta / self._channel_speedup(size)
+
+    def _gc_crossings(self, sizes: np.ndarray) -> tuple[np.ndarray, int]:
+        """Which writes pay a GC pause, and the counter after the last one.
+
+        The scalar rule adds each write to the counter and subtracts one
+        window when the sum reaches it, so a write of a window or more
+        leaves the counter high and later writes keep paying. With
+        ``q_i = floor(S_i / W)`` over the running sums ``S_i``, the pauses
+        paid so far follow ``k_i = min(k_{i-1} + 1, q_i)``, ``k_0 = 0``,
+        which unrolls to ``k_i = i + min(0, min_{j<=i}(q_j - j))``: one
+        integer cumulative minimum, exact for any sizes and start state.
+        """
+        window = self.gc_window
+        sums = self._bytes_since_gc + np.cumsum(sizes)
+        steps = np.arange(1, sizes.shape[0] + 1)
+        paid = steps + np.minimum(np.minimum.accumulate(sums // window - steps), 0)
+        crossed = np.diff(paid, prepend=0) > 0
+        return crossed, int(sums[-1] - window * paid[-1])
+
+    def _service_stream(self, is_read: bool, offsets: np.ndarray, sizes: np.ndarray):
+        """:meth:`startup_time` and :meth:`transfer_time` over a request
+        sequence: one ``uniform`` call draws the scalar calls' stream, and
+        the GC pauses are folded in after the draws (no draw depends on the
+        GC counter)."""
+        n = sizes.shape[0]
+        state = {}
+        if is_read:
+            startup = self.rng.uniform(self.read_alpha_min, self.read_alpha_max, n)
+            beta = self.beta_read
+        else:
+            startup = self.rng.uniform(self.write_alpha_min, self.write_alpha_max, n)
+            if self.gc_window > 0:
+                crossed, state["_bytes_since_gc"] = self._gc_crossings(sizes)
+                startup = np.where(crossed, startup + self.gc_pause, startup)
+            beta = self.beta_write
+        engaged = np.minimum(self.n_channels, np.maximum(1, -(-sizes // self.channel_chunk)))
+        speedup = CHANNEL_FLOOR + CHANNEL_SPAN * (engaged / self.n_channels)
+        return startup, sizes * beta / speedup, state

@@ -254,7 +254,7 @@ def fig6(testbed: Testbed | None = None) -> Fig6Result:
     planner = HARLPlanner(
         testbed.parameters(request_hint=512 * KiB), step=None, merge_regions=False
     )
-    rst = planner.plan(workload.synthetic_trace())
+    rst = planner.plan(workload.trace_columns())
     return Fig6Result(rst=rst, merged=rst.merged())
 
 

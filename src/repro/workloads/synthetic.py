@@ -20,7 +20,7 @@ from repro.middleware.mpi_sim import RankContext
 from repro.middleware.mpiio import MPIIOFile
 from repro.pfs.batch import RequestBatch
 from repro.util.rng import derive_rng
-from repro.workloads.traces import TraceRecord, sort_trace
+from repro.workloads.traces import TraceColumns, TraceRecord
 
 
 @dataclass(frozen=True)
@@ -137,19 +137,28 @@ class SyntheticRegionWorkload:
             is_read=np.full(offsets.shape[0], self.op is OpType.READ, dtype=bool),
         )
 
+    def trace_columns(self) -> TraceColumns:
+        """The offset-sorted planning trace: every slot once, in offset order.
+
+        Region bases ascend and each region's slots are unique and sorted,
+        so the slot columns already are the sorted trace.
+        """
+        offsets, sizes = self._all_slots()
+        is_read = np.full(offsets.shape[0], self.op is OpType.READ, dtype=bool)
+        return TraceColumns(offsets, sizes, is_read)
+
     def synthetic_trace(self) -> list[TraceRecord]:
-        """Offset-sorted trace over all ranks."""
-        all_offsets, all_sizes = self._all_slots()
-        records = []
-        for rank in range(self.n_processes):
-            offsets, sizes = self._rank_share(all_offsets, all_sizes, rank)
-            records.extend(
-                TraceRecord(
-                    pid=1, rank=rank, fd=3, op=self.op, offset=offset, size=size, timestamp=0.0
-                )
-                for offset, size in zip(offsets.tolist(), sizes.tolist())
+        """Offset-sorted trace over all ranks (slot ``i`` is rank
+        ``i mod n_processes``'s, as in :meth:`rank_requests`)."""
+        offsets, sizes, _ = self.trace_columns()
+        n_processes = self.n_processes
+        return [
+            TraceRecord(
+                pid=1, rank=i % n_processes, fd=3, op=self.op, offset=offset, size=size,
+                timestamp=0.0,
             )
-        return sort_trace(records)
+            for i, (offset, size) in enumerate(zip(offsets.tolist(), sizes.tolist()))
+        ]
 
     def rank_program(self, mf: MPIIOFile) -> Callable[[RankContext], Generator]:
         """Coroutine per rank replaying its stream as independent I/O."""

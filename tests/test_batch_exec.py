@@ -531,6 +531,17 @@ class TestColumnarTier:
         stats = self._run_pair(FixedLayout(2, 1, 64 * KiB), batch)
         assert stats["fast_columnar_batches"] == 1
 
+    @pytest.mark.parametrize("window", [64 * KiB, 48 * KiB, 16 * KiB])
+    def test_writes_reaching_a_whole_gc_window_run_columnar(self, window):
+        """SSD writes of a GC window or more used to bail to the event heap;
+        the device's batched stream folds the GC counter exactly instead."""
+        stats = self._run_pair(
+            FixedLayout(2, 1, 64 * KiB),
+            self._aligned_batch(),
+            ssd_kwargs={"gc_window": window, "gc_pause": 2.0e-4},
+        )
+        assert stats["fast_columnar_batches"] == 1
+
     @pytest.mark.parametrize("nic_parallelism", [2, 4, 8])
     @pytest.mark.parametrize("op_read", [False, True])
     def test_uneven_simultaneous_nic_departures(self, nic_parallelism, op_read):
