@@ -11,8 +11,11 @@ arrival order shifted by any metadata ring-hop delays):
    FIFO resource as a vectorized prefix-max/cumsum recurrence — no event
    loop at all (a multi-slot NIC with per-job transfer times takes one
    slot-heap step per sub-request). It covers every single-op batch on
-   stock device/network models, uniform or uneven, and *bails* losslessly
-   when a precondition fails at run time;
+   devices with a batched service stream
+   (:meth:`~repro.devices.base.StorageDevice.service_batch`), uniform or
+   uneven, and *bails* losslessly when a precondition fails at run time
+   (an exact feed/departure tie on a multi-slot queue, or an exhausted
+   restart budget);
 2. the **event-heap replay** (the columnar tier's fallback) walks one flat
    heap of plain tuples instead of the generator-coroutine machinery
    (``Process`` objects, resource grant events, ``AllOf`` joins) that
@@ -31,8 +34,9 @@ cascade *hop for hop*:
   :class:`repro.simulate.resources.Resource`;
 - device service times are drawn at the grant hop in grant order — the heap
   tier by calling the real device model's ``service_time``, the columnar
-  tier with bitwise-identical vectorized draws — so per-device RNG streams
-  advance exactly as the general path would consume them;
+  tier through the device's bitwise-identical ``service_batch`` — so
+  per-device RNG streams advance exactly as the general path would
+  consume them;
 - utilization deltas accumulate per resource in closure order and apply to
   the live monitors afterwards, preserving float-summation order.
 
